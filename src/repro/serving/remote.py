@@ -140,10 +140,10 @@ class _Worker:
     """One fleet member: address, (re)connectable channel, handshake facts.
 
     The connection is a :class:`~repro.serving.wire.PipelinedConnection`:
-    one writer and one reader thread per worker over a bounded send
-    queue, so every dispatch thread (and the heartbeat) can have
-    requests in flight on the same socket concurrently — the channel
-    matches responses to futures by request id.  ``lock`` only guards
+    callers send on their own threads and one reader thread per worker
+    resolves the answers, so every dispatch thread (and the heartbeat)
+    can have requests in flight on the same socket concurrently — the
+    channel matches responses to futures by request id.  ``lock`` only guards
     (re)connection now, not round trips.  Against a v1 peer (no
     ``version`` in ``hello``) the channel caps itself to one in-flight
     request so FIFO matching stays sound.
@@ -209,6 +209,8 @@ class _Worker:
             raise StorageError(
                 f"cannot connect to shard worker {self.id} ({exc})"
             ) from None
+        # Small request frames must not wait out Nagle/delayed-ACK stalls.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             # A configured wire timeout overrides the dial timeout that
             # create_connection left armed on the socket.

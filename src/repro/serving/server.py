@@ -395,6 +395,7 @@ class ShardServer:
                 continue
             except OSError:
                 break  # socket closed under us by shutdown()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )

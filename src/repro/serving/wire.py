@@ -67,7 +67,6 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from queue import Queue
 from typing import Deque, Dict, Optional
 
 from repro.analysis.lockcheck import create_lock
@@ -247,14 +246,15 @@ def request(sock: socket.socket, payload: dict) -> dict:
 class PipelinedConnection:
     """Many requests in flight on one socket, completing out of order.
 
-    The protocol-v2 client transport: a dedicated **writer** thread
-    drains a send queue and a dedicated **reader** thread matches
-    response frames back to their
+    The protocol-v2 client transport: :meth:`submit` sends the frame on
+    the caller's thread under a per-connection send lock, and one
+    dedicated **reader** thread matches response frames back to their
     :class:`~concurrent.futures.Future` by the echoed request ``id``
     (FIFO when a v1 peer echoes no id).  :meth:`submit` is the async
-    seam — it enqueues and returns immediately — and :meth:`request` is
-    the blocking convenience over it, so many caller threads can share
-    one connection without ever holding a lock across a round trip.
+    seam — it returns once the frame is on the socket — and
+    :meth:`request` is the blocking convenience over it, so many caller
+    threads can share one connection without ever holding a lock across
+    a round trip.
 
     **Backpressure** is a bounded in-flight window (``max_in_flight``):
     :meth:`submit` blocks while the window is full, so a slow or
@@ -286,19 +286,15 @@ class PipelinedConnection:
         self.pipelined = bool(pipelined)
         self.max_in_flight = max_in_flight if self.pipelined else 1
         self._window = threading.Semaphore(self.max_in_flight)
-        self._send_q: "Queue[Optional[dict]]" = Queue()
         self._pending: Dict[int, Future] = {}
         self._order: Deque[int] = deque()  # FIFO fallback for id-less peers
         self._next_id = 0
         self._lock = create_lock("wire.pipeline")
+        self._send_lock = create_lock("wire.send")
         self._closed = threading.Event()
-        self._writer = threading.Thread(
-            target=self._write_loop, name="repro-wire-writer", daemon=True
-        )
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-wire-reader", daemon=True
         )
-        self._writer.start()
         self._reader.start()
 
     # ------------------------------------------------------------------
@@ -318,9 +314,10 @@ class PipelinedConnection:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, payload: dict) -> Future:
-        """Enqueue one request; the returned future completes with the
+        """Send one request; the returned future completes with the
         response payload (the echoed ``id`` stripped) or a
-        :class:`WireError`.  Blocks while the in-flight window is full.
+        :class:`WireError` — a failed send poisons the connection and
+        fails the future too.  Blocks while the in-flight window is full.
         """
         while not self._window.acquire(timeout=0.1):
             if self._closed.is_set():
@@ -337,7 +334,13 @@ class PipelinedConnection:
             self._next_id += 1
             self._pending[rid] = future
             self._order.append(rid)
-        self._send_q.put(dict(payload, id=rid))
+        with self._send_lock:
+            try:
+                # Deliberate: the send lock serializes exactly one frame
+                # per holder so concurrent callers don't interleave bytes.
+                send_frame(self._sock, dict(payload, id=rid))  # repro-lint: disable=lock-discipline
+            except WireError as exc:  # send_frame wraps every OSError
+                self._fail_all(exc)
         return future
 
     def request(self, payload: dict, timeout: Optional[float] = None) -> dict:
@@ -361,21 +364,8 @@ class PipelinedConnection:
             ) from None
 
     # ------------------------------------------------------------------
-    # Pump loops
+    # Reader
     # ------------------------------------------------------------------
-    def _write_loop(self) -> None:
-        while True:
-            payload = self._send_q.get()
-            if payload is None or self._closed.is_set():
-                return
-            try:
-                send_frame(self._sock, payload)
-            except (WireError, OSError) as exc:
-                self._fail_all(
-                    exc if isinstance(exc, WireError) else WireError(str(exc))
-                )
-                return
-
     def _read_loop(self) -> None:
         try:
             while not self._closed.is_set():
@@ -391,12 +381,8 @@ class PipelinedConnection:
                         continue  # idle with nothing owed: keep waiting
                     self._fail_all(exc)
                     return
-                except (WireError, OSError) as exc:
-                    self._fail_all(
-                        exc
-                        if isinstance(exc, WireError)
-                        else WireError(str(exc))
-                    )
+                except WireError as exc:  # recv_frame wraps every OSError
+                    self._fail_all(exc)
                     return
                 if frame is None:
                     self._fail_all(
@@ -444,16 +430,19 @@ class PipelinedConnection:
             if not future.done():
                 future.set_exception(exc)
             self._window.release()
-        self._send_q.put(None)  # unblock the writer
         try:
-            self._sock.close()  # unblock the reader
+            # shutdown wakes a reader blocked in recv at once; close alone
+            # leaves it waiting for the peer or the wire timeout.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
         except OSError:
             pass
 
     def close(self) -> None:
-        """Fail outstanding requests and release the socket and threads."""
+        """Fail outstanding requests and release the socket and reader."""
         self._fail_all(WireError("connection closed locally"))
-        me = threading.current_thread()
-        for thread in (self._writer, self._reader):
-            if thread is not me and thread.is_alive():
-                thread.join(timeout=5.0)
+        if self._reader is not threading.current_thread():
+            self._reader.join(timeout=5.0)

@@ -5,7 +5,9 @@ The fast engine (packed array labels, CSR / distance-table search) must be
 query types, I/O accounting — and both must match the Dijkstra oracle,
 on arbitrary random weighted graphs including disconnected ones, across
 every hierarchy configuration (σ-rule, explicit k, full) and both storage
-modes, plus the batch path.
+modes, plus the batch path — including the one-pair batch, which the
+packed engines answer on the scalar path (fast, mmap, sharded and the
+directed fast engine).
 """
 
 import math
@@ -16,14 +18,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
+from repro.core.directed import DirectedISLabelIndex
 from repro.core.index import ISLabelIndex
 from repro.core.serialization import load_index, save_snapshot
-from tests.properties.strategies import connected_graphs, graphs
+from tests.properties.strategies import connected_graphs, digraphs, graphs
 
 
 def _all_pairs(graph):
     vertices = sorted(graph.vertices())
     return [(s, t) for s in vertices for t in vertices]
+
+
+def _assert_one_pair_batches_agree(index, pairs, expected):
+    """``distances([(s, t)])`` (answered on the scalar path) equals
+    ``[distance(s, t)]`` and ``expected``, with the same int/inf types a
+    larger batch returns."""
+    batch = index.distances(pairs)
+    assert batch == expected
+    for pair, want, typed in zip(pairs, expected, batch):
+        (got,) = index.distances([pair])
+        assert got == want == index.distance(*pair), pair
+        assert type(got) is type(typed), pair
 
 
 def _assert_engines_and_oracle_agree(graph, **build_kwargs):
@@ -41,7 +56,7 @@ def _assert_engines_and_oracle_agree(graph, **build_kwargs):
             assert qf.query_type == qd.query_type, (s, t)
             assert qf.label_ios == qd.label_ios, (s, t)
     pairs = _all_pairs(graph)
-    assert fast.distances(pairs) == ref.distances(pairs)
+    _assert_one_pair_batches_agree(fast, pairs, ref.distances(pairs))
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,6 +99,8 @@ def test_csr_search_path_engines_agree(g):
             expected = truth.get(t, math.inf)
             assert fast.query(s, t).distance == expected, (s, t)
             assert ref.query(s, t).distance == expected, (s, t)
+    pairs = _all_pairs(g)
+    _assert_one_pair_batches_agree(fast, pairs, ref.distances(pairs))
 
 
 @settings(max_examples=15, deadline=None)
@@ -102,7 +119,7 @@ def test_snapshot_engines_agree(g):
     for name in ("mmap", "sharded"):
         built = ISLabelIndex.build(g, engine=name)
         assert built.engine == name
-        assert built.distances(pairs) == expected, name
+        _assert_one_pair_batches_agree(built, pairs, expected)
     fast = ISLabelIndex.build(g, engine="fast")
     mid = len(pairs) // 2
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,6 +133,22 @@ def test_snapshot_engines_agree(g):
                 assert loaded.engine == name
                 assert loaded.distances(pairs) == expected, (path, name)
                 assert loaded.distance(*pairs[mid]) == expected[mid]
+
+
+@settings(max_examples=25, deadline=None)
+@given(digraphs(max_vertices=14))
+def test_directed_one_pair_batches_agree(dg):
+    """Directed fast one-pair batches equal the dict engine, in table and
+    CSR search mode; digraphs leave many pairs unreachable (``inf``)."""
+    ref = DirectedISLabelIndex.build(dg, engine="dict")
+    pairs = _all_pairs(dg)
+    expected = ref.distances(pairs)
+    fast = DirectedISLabelIndex.build(dg)
+    _assert_one_pair_batches_agree(fast, pairs, expected)
+    fast._fast._apsp = None  # drop the G_k table: search must use the CSR path
+    fast._fast._apsp_done = None
+    assert fast.search_mode == "csr"
+    _assert_one_pair_batches_agree(fast, pairs, expected)
 
 
 @settings(max_examples=30, deadline=None)

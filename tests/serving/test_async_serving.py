@@ -2,7 +2,8 @@
 
 Covers the protocol-v2 request-id machinery end to end: interleaved
 request ids on one connection completing out of order, multi-client
-pipelining fuzz, the ``overloaded`` admission/backoff path, clean
+pipelining fuzz, concurrent senders sharing one connection, prompt
+close, the ``overloaded`` admission/backoff path, clean
 cancellation on abrupt client disconnect (no thread or socket leak), the
 shared env-knob parser, and a chaos case — SIGKILL a worker with
 multiple requests in flight and stay bit-exact.
@@ -63,6 +64,15 @@ def _connect(server, **kwargs):
     return wire.PipelinedConnection(
         socket.create_connection(server.address), **kwargs
     )
+
+
+def _wire_threads(before):
+    """Names of the live client-channel threads started since ``before``."""
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name.startswith("repro-wire")
+    ]
 
 
 class TestPipelinedConnection:
@@ -146,6 +156,60 @@ class TestPipelinedConnection:
         for t in threads:
             t.join(timeout=60)
         assert not errors, errors
+
+    def test_shared_connection_concurrent_senders(self, server, expected):
+        """Several threads send on ONE connection at once (each on its own
+        thread, under the send lock): frames never interleave and every
+        future gets its own answer.  The connection owns one thread."""
+        pairs, want = expected
+        before = set(threading.enumerate())
+        chan = _connect(server, max_in_flight=8)
+        try:
+            assert _wire_threads(before) == ["repro-wire-reader"]
+            start = threading.Barrier(4)
+            errors = []
+
+            def sender(offset):
+                try:
+                    start.wait(timeout=10)
+                    futures = []
+                    for i in range(40):
+                        lo = (offset + 7 * i) % (len(pairs) - 3)
+                        hi = lo + 1 + i % 3  # one-, two- and three-pair frames
+                        batch = [list(p) for p in pairs[lo:hi]]
+                        futures.append(
+                            (chan.submit({"op": "distances", "pairs": batch}), lo, hi)
+                        )
+                    for future, lo, hi in futures:
+                        got = future.result(timeout=30)["distances"]
+                        assert got == want[lo:hi], (lo, hi)
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=sender, args=(o,))
+                for o in (0, 101, 233, 389)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not errors, errors
+            assert chan.in_flight == 0
+        finally:
+            chan.close()
+
+    def test_close_of_an_idle_channel_is_prompt(self, server):
+        """close() wakes the reader out of recv at once instead of waiting
+        out its join timeout, and leaves no reader thread behind."""
+        before = set(threading.enumerate())
+        chan = _connect(server)
+        assert chan.request({"op": "ping"}) == {"ok": True}
+        assert _wire_threads(before) == ["repro-wire-reader"]
+        began = time.monotonic()
+        chan.close()
+        assert time.monotonic() - began < 1.0
+        assert _wire_threads(before) == []
 
 
 class TestAdmissionControl:
