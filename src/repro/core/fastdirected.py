@@ -11,8 +11,8 @@ directed counterpart of :class:`repro.core.fastlabels.FastEngine`:
 * ``G_k`` freezes into a :class:`repro.graph.csr.CSRDiGraph` — forward
   CSR arrays over out-arcs plus the transposed copy the backward search
   scans — and Algorithm 1 runs over the flat arrays via
-  :func:`repro.core.query.csr_label_bidijkstra` with the epoch-stamped
-  :class:`repro.core.fastlabels.LabelArrayPool` buffers;
+  :func:`repro.core.query.csr_label_bidijkstra` with per-thread
+  epoch-stamped :class:`repro.core.fastlabels.LabelArrayPool` buffers;
 * Equation 1 is the merge intersection of ``LABEL_out(s)`` with
   ``LABEL_in(t)`` (scalar two-pointer fallback for small labels), and
   :meth:`distances` vectorizes it across the whole batch with one
@@ -41,10 +41,10 @@ import numpy as np
 from repro.core.engines import CAP_LOCAL, DIRECTED, register_engine
 from repro.core.fastlabels import (
     ArrayLabel,
-    LabelArrayPool,
     LabelTable,
     PackedEngineBase,
     _EMPTY,
+    _ThreadPools,
     apsp_ceiling,
     eq1_merge,
 )
@@ -75,7 +75,7 @@ class DirectedFastEngine(PackedEngineBase):
         "in_lists",
         "out_table",
         "in_table",
-        "pool",
+        "_pools",
         "indptr",
         "indices",
         "weights",
@@ -102,7 +102,7 @@ class DirectedFastEngine(PackedEngineBase):
         self.gk = gk
         self.out_lists = out_lists
         self.in_lists = in_lists
-        self.pool = LabelArrayPool()
+        self._pools = _ThreadPools()
         self.frozen = False
         #: All-pairs table ceiling from the shared memory budget (see
         #: :func:`repro.core.fastlabels.apsp_ceiling`); the directed table
@@ -288,10 +288,11 @@ class DirectedFastEngine(PackedEngineBase):
     _seeds_f_np = seeds_out_np
     _seeds_r_np = seeds_in_np
 
-    def _search_arrays(self):
+    def _search_arrays(self, native: bool):
+        arrays = self.csr if native else self
         return (
-            (self.indptr, self.indices, self.weights),
-            (self.rindptr, self.rindices, self.rweights),
+            (arrays.indptr, arrays.indices, arrays.weights),
+            (arrays.rindptr, arrays.rindices, arrays.rweights),
         )
 
     def nbytes(self) -> int:

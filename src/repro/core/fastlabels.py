@@ -19,8 +19,8 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
 * :class:`FastEngine` freezes ``G_k`` into a :class:`CSRGraph` once at
   build time, pre-extracts every label's Algorithm-1 seeds (the entries
   whose ancestor lies in ``G_k``) as dense-id arrays with a single
-  vectorized membership pass, and owns the shared :class:`LabelArrayPool`
-  of search buffers so batch queries stop re-allocating per call;
+  vectorized membership pass, and keeps one :class:`LabelArrayPool` of
+  search buffers per querying thread so queries stop re-allocating per call;
 * when ``G_k`` is small (the common case for the paper's σ-rule on
   well-shrinking graphs), the engine answers the search stage from a
   lazily-filled **all-pairs distance table** over ``G_k``: by the
@@ -44,10 +44,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.engines import CAP_LOCAL, UNDIRECTED, register_engine
 from repro.envvars import read_env_float
 from repro.core.hierarchy import VertexHierarchy
@@ -734,13 +736,19 @@ class LabelArrayPool:
 
     Plain Python lists, not ndarrays: the search loop is scalar, and
     CPython indexes a list several times faster than a numpy array.
-    The pool is single-search-at-a-time — acquiring invalidates the
-    previously handed-out buffers (fine for the sequential query loop;
-    not thread-safe).
+    The compiled kernel (:mod:`repro.core.kernels`) keeps its own native
+    buffers in :attr:`kernel` instead, created on its first search.
+
+    A pool serves one search at a time — acquiring invalidates the
+    previously handed-out buffers, and the compiled kernel runs without
+    the GIL — so the packed engines keep one pool per thread
+    (:attr:`PackedEngineBase.pool`); concurrent readers of one engine
+    never share one.
     """
 
     __slots__ = (
         "epoch",
+        "kernel",
         "dist_f",
         "dist_r",
         "seen_f",
@@ -753,6 +761,7 @@ class LabelArrayPool:
     def __init__(self) -> None:
         self.epoch = 0
         self._capacity = 0
+        self.kernel = None
         self.dist_f: List[int] = []
         self.dist_r: List[int] = []
         self.seen_f: List[int] = []
@@ -776,6 +785,13 @@ class LabelArrayPool:
             self._capacity = n
         self.epoch += 1
         return self.epoch
+
+
+class _ThreadPools(threading.local):
+    """An engine's search buffers, one :class:`LabelArrayPool` per thread."""
+
+    def __init__(self) -> None:
+        self.pool = LabelArrayPool()
 
 
 class PackedEngineBase:
@@ -817,10 +833,17 @@ class PackedEngineBase:
     #: which sets it to ``0``) can tune the tradeoff.
     INCREMENTAL_MAX_FRACTION = 0.25
 
-    def _search_arrays(self):
+    @property
+    def pool(self) -> LabelArrayPool:
+        """The calling thread's search buffers (created on first use)."""
+        return self._pools.pool
+
+    def _search_arrays(self, native: bool):
         """``((indptr, indices, weights), (indptr_r, indices_r, weights_r))``
         for the stage-2 search; the reverse triple is ``(None, None, None)``
-        when one adjacency serves both directions."""
+        when one adjacency serves both directions.  ``native`` picks the
+        CSR's int64 arrays (the compiled kernel's form) over the flat list
+        mirrors (the pure-Python reference's)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -1061,17 +1084,15 @@ class PackedEngineBase:
         if not self.frozen:
             self.freeze()
         mu0, _ = self.eq1(source, target)
-        if self._apsp is not None:
-            seeds_f = self._seeds_f_np(source)
-            seeds_r = self._seeds_r_np(target)
-            if not len(seeds_f[0]) or not len(seeds_r[0]):
-                return mu0
-            return self.search_distance(seeds_f, seeds_r, mu0)
-        seeds_f = self._seeds_f(source)
-        seeds_r = self._seeds_r(target)
+        table = self._apsp is not None
+        native = table or kernels.BACKEND == "c"
+        seeds_f = (self._seeds_f_np if native else self._seeds_f)(source)
+        seeds_r = (self._seeds_r_np if native else self._seeds_r)(target)
         if not len(seeds_f[0]) or not len(seeds_r[0]):
             return mu0
-        forward, reverse = self._search_arrays()
+        if table:
+            return self.search_distance(seeds_f, seeds_r, mu0)
+        forward, reverse = self._search_arrays(native)
         distance, _, _ = csr_label_bidijkstra(
             *forward,
             seeds_f,
@@ -1092,7 +1113,7 @@ class PackedEngineBase:
         of the whole batch (one ``searchsorted``, one scatter-min) instead
         of a per-pair merge.  In table mode, stage 2 vectorizes across the
         batch too (:func:`batch_table_stage`); in CSR mode it reuses the
-        pooled search buffers across every remaining pair.
+        thread's pooled search buffers across every remaining pair.
         """
         pairs = list(pairs)
         if not self.frozen:
@@ -1133,14 +1154,17 @@ class PackedEngineBase:
             for pos, j in enumerate(order):
                 out[live[j]] = answers[pos]
             return out
-        forward, reverse = self._search_arrays()
+        native = kernels.BACKEND == "c"
+        seeds_of_f = self._seeds_f_np if native else self._seeds_f
+        seeds_of_r = self._seeds_r_np if native else self._seeds_r
+        forward, reverse = self._search_arrays(native)
         n_gk = self.csr.num_vertices
         pool = self.pool
         for j, i in enumerate(live):
             s, t = pairs[i]
             mu0 = float(mu0s[j])
-            sf = self._seeds_f(s)
-            sr = self._seeds_r(t)
+            sf = seeds_of_f(s)
+            sr = seeds_of_r(t)
             if not len(sf[0]) or not len(sr[0]):
                 out[i] = int(mu0) if mu0 != math.inf else mu0
                 continue
@@ -1167,8 +1191,8 @@ class FastEngine(PackedEngineBase):
     :class:`CSRGraph` of ``G_k`` (plus flat Python-list mirrors of
     ``indptr/indices/weights`` for the scalar search loop), the packed
     label arrays, each label's pre-extracted ``G_k`` seeds in dense ids,
-    the shared :class:`LabelArrayPool`, and — for small ``G_k`` — the lazy
-    all-pairs ``G_k`` distance table.
+    a :class:`LabelArrayPool` per querying thread, and — for small ``G_k``
+    — the lazy all-pairs ``G_k`` distance table.
 
     Construction is **lazy**: ``__init__`` only records the inputs, and the
     first query (or an explicit :meth:`freeze`) builds the CSR view, packs
@@ -1183,7 +1207,7 @@ class FastEngine(PackedEngineBase):
         "csr",
         "entry_lists",
         "table",
-        "pool",
+        "_pools",
         "indptr",
         "indices",
         "weights",
@@ -1210,7 +1234,7 @@ class FastEngine(PackedEngineBase):
         self.gk = gk
         self.entry_lists = entry_lists
         self._prebuilt: Dict[int, ArrayLabel] = arrays or {}
-        self.pool = LabelArrayPool()
+        self._pools = _ThreadPools()
         self.frozen = False
         #: Keep an all-pairs ``G_k`` distance table when ``|V_Gk|`` is at
         #: most this; derived from the memory budget (constructor arg, the
@@ -1370,8 +1394,9 @@ class FastEngine(PackedEngineBase):
     _seeds_f_np = seeds_np
     _seeds_r_np = seeds_np
 
-    def _search_arrays(self):
-        return (self.indptr, self.indices, self.weights), (None, None, None)
+    def _search_arrays(self, native: bool):
+        arrays = self.csr if native else self
+        return (arrays.indptr, arrays.indices, arrays.weights), (None, None, None)
 
     def nbytes(self) -> int:
         """Approximate footprint of the CSR arrays plus packed labels."""

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import kernels
 from repro.core.engines import UNDIRECTED, resolve_engine
 from repro.core.fastlabels import FastEngine, fast_top_down_labels
 from repro.core.hierarchy import DEFAULT_SIGMA, VertexHierarchy, build_hierarchy
@@ -459,7 +460,8 @@ class ISLabelIndex:
         search_started = time.perf_counter()
         mu0, _ = fast.eq1(source, target)
         use_apsp = fast.has_apsp
-        seeds_of = fast.seeds_np if use_apsp else fast.seeds
+        native = use_apsp or kernels.BACKEND == "c"
+        seeds_of = fast.seeds_np if native else fast.seeds
         seeds_f = seeds_of(source)
         seeds_r = seeds_of(target)
         if not len(seeds_f[0]) or not len(seeds_r[0]):
@@ -481,10 +483,9 @@ class ISLabelIndex:
         if use_apsp:
             distance = fast.search_distance(seeds_f, seeds_r, mu0)
         else:
+            forward, _ = fast._search_arrays(native)
             distance, _, stats = csr_label_bidijkstra(
-                fast.indptr,
-                fast.indices,
-                fast.weights,
+                *forward,
                 seeds_f,
                 seeds_r,
                 fast.pool,

@@ -27,8 +27,11 @@ The search is written against adjacency *callables* so the directed variant
 :func:`label_bidijkstra`: identical pruning and ``µ``-update semantics, but
 over the flat ``indptr/indices/weights`` arrays of a frozen
 :class:`repro.graph.csr.CSRGraph` with dense-int distance maps drawn from a
-shared :class:`repro.core.fastlabels.LabelArrayPool` (epoch-stamped, so
-nothing is cleared between queries).
+per-thread :class:`repro.core.fastlabels.LabelArrayPool` (epoch-stamped, so
+nothing is cleared between queries).  It runs the compiled kernel of
+:mod:`repro.core.kernels` when that loaded, and otherwise the pure-Python
+:func:`csr_label_bidijkstra_reference` — the oracle the kernel is tested
+against, with identical answers and work counters.
 """
 
 from __future__ import annotations
@@ -38,11 +41,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core import kernels
+
 __all__ = [
     "SearchStats",
     "BiDijkstraResult",
     "label_bidijkstra",
     "csr_label_bidijkstra",
+    "csr_label_bidijkstra_reference",
 ]
 
 AdjacencyFn = Callable[[int], Iterable[Tuple[int, int]]]
@@ -201,6 +207,46 @@ def _peek(heap: List[Tuple[int, int]], settled: Dict[int, int]) -> float:
 
 
 def csr_label_bidijkstra(
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    weights: Sequence[int],
+    seeds_forward: Tuple[Sequence[int], Sequence[int]],
+    seeds_reverse: Tuple[Sequence[int], Sequence[int]],
+    pool,
+    num_vertices: int,
+    initial_mu: float = math.inf,
+    indptr_r: Optional[Sequence[int]] = None,
+    indices_r: Optional[Sequence[int]] = None,
+    weights_r: Optional[Sequence[int]] = None,
+) -> Tuple[float, int, SearchStats]:
+    """Algorithm 1's Stage 2 over a CSR ``G_k``: the compiled kernel when
+    it loaded (:data:`repro.core.kernels.BACKEND` ``== "c"``), else
+    :func:`csr_label_bidijkstra_reference`.  Same arguments and results.
+
+    Each backend reads its own input form fastest — int64 ndarrays for the
+    kernel, Python lists for the reference — but accepts either.  ``pool``
+    must not be in use by another thread: the kernel releases the GIL.
+    """
+    args = (
+        indptr,
+        indices,
+        weights,
+        seeds_forward,
+        seeds_reverse,
+        pool,
+        num_vertices,
+        initial_mu,
+        indptr_r,
+        indices_r,
+        weights_r,
+    )
+    if kernels.BACKEND == "c":
+        distance, meet, counts = kernels.bidijkstra(*args)
+        return distance, meet, SearchStats(*counts)
+    return csr_label_bidijkstra_reference(*args)
+
+
+def csr_label_bidijkstra_reference(
     indptr: Sequence[int],
     indices: Sequence[int],
     weights: Sequence[int],

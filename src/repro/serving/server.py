@@ -23,8 +23,9 @@ queue is full the request is rejected immediately with the structured
 timing out blind.  A client that disconnects mid-request has its queued
 searches cancelled and its in-flight answers discarded; nothing leaks.
 
-Engine access stays serialized (the packed engines' search-buffer pool
-is single-search-at-a-time), so ``max_concurrency > 1`` overlaps the
+Engine access stays serialized behind ``_query_lock`` (the packed
+engines' search buffers are per thread, but the lazily materialized
+label caches are plain dicts), so ``max_concurrency > 1`` overlaps the
 request decode / response encode / socket I/O of one search with the
 engine stage of another rather than racing the engine itself.  Fleet
 parallelism comes from running more workers.
@@ -65,6 +66,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.analysis.lockcheck import create_lock
+from repro.core import kernels
 from repro.errors import QueryError, ReproError, StorageError
 from repro.serving import wire
 from repro.serving.membership import MembershipMap
@@ -291,8 +293,8 @@ class ShardServer:
         self._states: List[_Conn] = []
         self._lock = create_lock("shard-server.state")
         # The engine stage stays one-search-at-a-time: the packed
-        # engines' search buffer pool is documented single-search, and
-        # the lazily materialized label caches are plain dicts.  The
+        # engines keep search buffers per thread, but the lazily
+        # materialized label caches are plain dicts.  The
         # executor pipelines everything *around* the engine (decode,
         # encode, socket I/O); fleet parallelism comes from more workers.
         self._query_lock = create_lock("shard-server.query")
@@ -716,6 +718,7 @@ class ShardServer:
                     {
                         "ok": True,
                         "engine": self.index.engine,
+                        "kernel_backend": kernels.BACKEND,
                         "owned": self.owned,
                         "epoch": self.epoch,
                         "draining": self.draining,

@@ -5,6 +5,7 @@ import socket
 
 import pytest
 
+from repro.core import kernels
 from repro.core.directed import DirectedISLabelIndex
 from repro.core.engines import (
     CAP_REMOTE,
@@ -217,6 +218,7 @@ class TestServerLifecycle:
             assert wire.request(sock, {"op": "ping"}) == {"ok": True}
             stats = wire.request(sock, {"op": "stats"})
             assert stats["requests_served"] >= 2
+            assert stats["kernel_backend"] == kernels.BACKEND
         finally:
             sock.close()
 
