@@ -12,7 +12,8 @@ Quickstart::
     index = ISLabelIndex.build(g)
     index.distance(2, 4)     # -> 2
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+See docs/ARCHITECTURE.md for the system inventory and the deviations
+from the paper; the ``benchmarks/bench_table*.py`` scripts print the
 paper-vs-measured results of every table.
 """
 

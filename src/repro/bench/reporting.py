@@ -2,8 +2,8 @@
 
 Every benchmark prints an aligned table mirroring one of the paper's
 tables, with a paper-reference column next to each measured column, and
-appends the rendered table to ``benchmarks/results/`` so EXPERIMENTS.md can
-be assembled from real runs.
+appends the rendered table to ``benchmarks/results/``, so every
+paper-vs-measured comparison comes from a real run.
 """
 
 from __future__ import annotations

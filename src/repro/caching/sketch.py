@@ -165,9 +165,11 @@ class SketchTable:
 class _SketchBase:
     """Shared query/counter machinery of the two orientations."""
 
-    __slots__ = ("queries", "exact_known", "full_entries", "sketch_entries")
+    __slots__ = ("h", "queries", "exact_known", "full_entries", "sketch_entries")
 
-    def __init__(self) -> None:
+    def __init__(self, h: int) -> None:
+        #: Label entries kept per vertex.
+        self.h = h
         self.queries = 0
         self.exact_known = 0
         # Merge-cost ledger: entries a full Eq. 1 merge would have
@@ -229,7 +231,7 @@ class HubSketch(_SketchBase):
     __slots__ = ("table",)
 
     def __init__(self, table: SketchTable) -> None:
-        super().__init__()
+        super().__init__(table.h)
         self.table = table
 
     @classmethod
@@ -263,7 +265,7 @@ class DirectedHubSketch(_SketchBase):
     __slots__ = ("out_table", "in_table")
 
     def __init__(self, out_table: SketchTable, in_table: SketchTable) -> None:
-        super().__init__()
+        super().__init__(out_table.h)
         self.out_table = out_table
         self.in_table = in_table
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engines import DIRECTED, resolve_engine
 from repro.core.fastdirected import DirectedFastEngine
+from repro.core.index import _IndexFacade
 from repro.core.independent_set import bucket_order
 from repro.core.labels import (
     eq1_distance,
@@ -149,7 +150,7 @@ def _build_directed_hierarchy(
     )
 
 
-class DirectedISLabelIndex:
+class DirectedISLabelIndex(_IndexFacade):
     """IS-LABEL over a directed graph (out-labels + in-labels).
 
     ``engine`` mirrors the undirected index: ``"fast"`` (default) attaches
@@ -157,8 +158,12 @@ class DirectedISLabelIndex:
     label arrays, per-direction CSR views of ``G_k`` and a batch
     :meth:`distances` path — while ``"dict"`` keeps only the reference
     structures.  Both are answer-identical; path reconstruction always
-    runs on the reference structures.
+    runs on the reference structures.  Coverage checks, the approximate
+    tier and engine routing are the shared facade's
+    (:class:`repro.core.index._IndexFacade`).
     """
+
+    _KIND = DIRECTED
 
     def __init__(
         self,
@@ -170,62 +175,22 @@ class DirectedISLabelIndex:
         in_preds: Optional[Dict[int, Dict[int, Optional[int]]]] = None,
         fast: Optional[DirectedFastEngine] = None,
     ) -> None:
-        self.hierarchy = hierarchy
-        self.gk = hierarchy.gk
+        super().__init__(hierarchy, labeling_seconds, fast)
         self._out_labels = out_labels
         self._in_labels = in_labels
         self._out_preds = out_preds
         self._in_preds = in_preds
-        self._labeling_seconds = labeling_seconds
-        self._fast = fast
-        # Lazily built directed hub sketch (the approximate tier);
-        # dropped whenever labels change so it can never serve stale bounds.
-        self._sketch = None
 
-    @property
-    def engine(self) -> str:
-        """Registry name of the attached backend (``"dict"`` if none)."""
-        return self._fast.name if self._fast is not None else "dict"
+    def _label_tables(self):
+        return (self._out_labels, self._in_labels)
 
-    @property
-    def search_mode(self) -> str:
-        """How the Type-2 search stage runs: ``"apsp"`` (one-way distance
-        table), ``"csr"`` (flat-array bi-Dijkstra), ``"dict"`` — or the
-        backend's own name for protocol-only engines (``"remote"``)."""
-        if self._fast is None:
-            return "dict"
-        if not hasattr(self._fast, "has_apsp"):
-            return self._fast.name
-        return "apsp" if self._fast.has_apsp else "csr"
+    def _build_sketch(self, h: int):
+        from repro.caching.sketch import DirectedHubSketch
 
-    def attach_fast_engine(self, engine: str = "fast") -> "DirectedISLabelIndex":
-        """Attach the registered directed ``engine`` over the current
-        labels/``G_k`` (used by
-        :func:`repro.core.serialization.load_directed_index` and tests).
-        Resolves through the engine registry; the engine snapshots the
-        labels — do not mutate them afterwards."""
-        factory = resolve_engine(DIRECTED, engine)
-        self._fast = (
-            factory(self.gk, self._out_labels, self._in_labels)
-            if factory is not None
-            else None
-        )
-        return self
+        return DirectedHubSketch.from_index(self, h=h)
 
-    def invalidate_labels(self, dirty=None) -> None:
-        """Report in-place label/``G_k`` mutations to the attached engine.
-
-        Mirrors :meth:`repro.core.index.ISLabelIndex.invalidate_labels`:
-        the §8.3 directed maintenance
-        (:class:`repro.core.updates.DynamicDirectedISLabelIndex`) patches
-        the out/in label tables and ``G_k`` in place, then passes the
-        touched vertices here so the fast engine can re-pack just those
-        labels (or fall back to a full re-freeze).  No-op on the dict
-        reference path.
-        """
-        self._sketch = None  # sketches are built from labels; never stale
-        if self._fast is not None:
-            self._fast.invalidate(dirty)
+    def _reference_distance(self, source: int, target: int) -> float:
+        return self._query(source, target, keep_parents=False)[0]
 
     @classmethod
     def build(
@@ -300,59 +265,6 @@ class DirectedISLabelIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> float:
-        """Exact directed ``dist_G(source, target)``."""
-        if self._fast is not None:
-            self._check_vertex(source)
-            self._check_vertex(target)
-            return self._fast.distance(source, target)
-        return self._query(source, target, keep_parents=False)[0]
-
-    def hub_sketch(self, h: Optional[int] = None):
-        """The lazily built directed approximate tier
-        (:class:`repro.caching.sketch.DirectedHubSketch`); dropped by
-        :meth:`invalidate_labels` so it can never serve stale bounds.
-        ``h`` pins the entries kept per vertex (a different ``h``
-        rebuilds); ``h=None`` reuses the current sketch, falling back
-        to the default on first use."""
-        from repro.caching.sketch import DEFAULT_SKETCH_H, DirectedHubSketch
-
-        if h is None:
-            if self._sketch is None:
-                self._sketch = DirectedHubSketch.from_index(
-                    self, h=DEFAULT_SKETCH_H
-                )
-        elif self._sketch is None or self._sketch.out_table.h != h:
-            self._sketch = DirectedHubSketch.from_index(self, h=h)
-        return self._sketch
-
-    def distances(
-        self, pairs: Iterable[Tuple[int, int]], approx: bool = False
-    ) -> List[float]:
-        """Batch form of :meth:`distance` over an iterable of (s, t) pairs.
-
-        On the fast engine this is a true batch path: one vectorized
-        Equation-1 pass over the stacked out/in label arrays, then the
-        pooled CSR search (or table reduction) per remaining pair.
-
-        ``approx=True`` answers from the directed hub-sketch tier —
-        upper bounds from the top-``h`` out/in label entries (see
-        :mod:`repro.caching.sketch`), cached under the ``"approx"``
-        namespace on ``cached:*`` engines.
-        """
-        pairs = list(pairs)
-        for s, t in pairs:
-            self._check_vertex(s)
-            self._check_vertex(t)
-        if approx:
-            sketch = self.hub_sketch()
-            if self._fast is not None and hasattr(self._fast, "distances_via"):
-                return self._fast.distances_via(pairs, sketch.bounds)
-            return sketch.bounds(pairs)
-        if self._fast is not None:
-            return self._fast.distances(pairs)
-        return [self._query(s, t, keep_parents=False)[0] for s, t in pairs]
-
     def _query(self, source: int, target: int, keep_parents: bool):
         """Shared query core; returns (distance, search-or-None)."""
         self._check_vertex(source)
@@ -482,10 +394,6 @@ class DirectedISLabelIndex:
         right = self._expand_arc(mid, b)
         return left + right[1:]
 
-    def reachable(self, source: int, target: int) -> bool:
-        """Directed reachability — the §9 by-product."""
-        return not math.isinf(self.distance(source, target))
-
     def out_label(self, v: int) -> List[Tuple[int, int]]:
         self._check_vertex(v)
         return self._label(self._out_labels, v)
@@ -493,23 +401,6 @@ class DirectedISLabelIndex:
     def in_label(self, v: int) -> List[Tuple[int, int]]:
         self._check_vertex(v)
         return self._label(self._in_labels, v)
-
-    def _label(self, table: Dict[int, List[Tuple[int, int]]], v: int):
-        # G_k vertices carry the implicit trivial label — except vertices
-        # inserted by §8.3 maintenance, which live in G_k but carry an
-        # enriched label that must genuinely be read (the same rule as the
-        # undirected facade's _fetch_label).
-        if self.hierarchy.in_gk(v) and len(table.get(v, ())) <= 1:
-            return [(v, 0)]
-        return table[v]
-
-    def _check_vertex(self, v: int) -> None:
-        if v not in self.hierarchy.level_of:
-            raise QueryError(f"vertex {v} is not covered by this index")
-
-    @property
-    def k(self) -> int:
-        return self.hierarchy.k
 
     @property
     def label_entries(self) -> int:

@@ -43,7 +43,6 @@ from repro.core.fastlabels import (
     ArrayLabel,
     LabelTable,
     PackedEngineBase,
-    _EMPTY,
     _ThreadPools,
     apsp_ceiling,
     eq1_merge,
@@ -265,18 +264,6 @@ class DirectedFastEngine(PackedEngineBase):
             return got
         fallback = self._fallback_seeds(v)
         return fallback[2], fallback[3]
-
-    def _fallback_seeds(self, v: int):
-        """Seeds of a vertex missing from the label tables (bare G_k id)."""
-        if self.csr.has_vertex(v):
-            dense = self.csr.dense_of[v]
-            return (
-                [dense],
-                [0],
-                np.array([dense], dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-            )
-        return [], [], _EMPTY, _EMPTY
 
     # PackedEngineBase hooks: the forward side queries out-labels, the
     # reverse side in-labels, and the backward search scans the transposed

@@ -54,7 +54,7 @@ from repro.core.engines import CAP_LOCAL, UNDIRECTED, register_engine
 from repro.envvars import read_env_float
 from repro.core.hierarchy import VertexHierarchy
 from repro.core.labels import eq1_distance_argmin
-from repro.core.query import csr_label_bidijkstra
+from repro.core.query import SearchStats, csr_label_bidijkstra
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 
@@ -807,8 +807,10 @@ class PackedEngineBase:
     the reverse triple — ``None`` s for an undirected graph, where one
     adjacency serves both directions).  This base then implements the
     :class:`repro.core.engines.QueryEngine` ``distance``/``distances``
-    hot paths, the lazily row-filled all-pairs ``G_k`` table and its
-    batched Theorem-4 reduction, identically for both orientations.
+    hot paths — the single query as one staged body, :meth:`staged`,
+    which also reports the index facade's Table 4/5 fields — the lazily
+    row-filled all-pairs ``G_k`` table and its batched Theorem-4
+    reduction, identically for both orientations.
 
     It also implements the protocol's :meth:`invalidate`, including the
     §8.3 incremental path: given the set of vertices whose labels changed,
@@ -837,6 +839,18 @@ class PackedEngineBase:
     def pool(self) -> LabelArrayPool:
         """The calling thread's search buffers (created on first use)."""
         return self._pools.pool
+
+    def _fallback_seeds(self, v: int):
+        """Seeds of a vertex missing from the label tables (bare G_k id)."""
+        if self.csr.has_vertex(v):
+            dense = self.csr.dense_of[v]
+            return (
+                [dense],
+                [0],
+                np.array([dense], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+            )
+        return [], [], _EMPTY, _EMPTY
 
     def _search_arrays(self, native: bool):
         """``((indptr, indices, weights), (indptr_r, indices_r, weights_r))``
@@ -1072,15 +1086,22 @@ class PackedEngineBase:
     # ------------------------------------------------------------------
     # QueryEngine protocol: validated-query compute
     # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> float:
-        """Exact distance between two covered vertices (no bookkeeping).
+    def staged(
+        self, source: int, target: int
+    ) -> Tuple[float, bool, Optional[SearchStats]]:
+        """Algorithm 1 for one covered pair: ``(distance, used_search, stats)``.
 
-        The raw protocol hot path: Equation 1, pre-extracted seeds, then
-        the table reduction or the CSR bidirectional Dijkstra.  Vertex
-        coverage checks and I/O accounting belong to the index facade.
+        Equation 1, the pre-extracted seeds, then the table reduction or
+        the CSR bidirectional Dijkstra.  ``used_search`` is False when a
+        side has no ``G_k`` seed (Equation 1 alone is exact); ``stats`` are
+        the CSR search's counters (``None`` on the table stage).  This is
+        the one staging of a single query: :meth:`distance` returns its
+        distance and :meth:`repro.core.index.ISLabelIndex.query` its Table
+        4/5 fields.  Vertex coverage and I/O accounting belong to the
+        index facade.
         """
         if source == target:
-            return 0
+            return 0, False, None
         if not self.frozen:
             self.freeze()
         mu0, _ = self.eq1(source, target)
@@ -1089,11 +1110,11 @@ class PackedEngineBase:
         seeds_f = (self._seeds_f_np if native else self._seeds_f)(source)
         seeds_r = (self._seeds_r_np if native else self._seeds_r)(target)
         if not len(seeds_f[0]) or not len(seeds_r[0]):
-            return mu0
+            return mu0, False, None
         if table:
-            return self.search_distance(seeds_f, seeds_r, mu0)
+            return self.search_distance(seeds_f, seeds_r, mu0), True, None
         forward, reverse = self._search_arrays(native)
-        distance, _, _ = csr_label_bidijkstra(
+        distance, _, stats = csr_label_bidijkstra(
             *forward,
             seeds_f,
             seeds_r,
@@ -1104,7 +1125,11 @@ class PackedEngineBase:
             indices_r=reverse[1],
             weights_r=reverse[2],
         )
-        return distance
+        return distance, True, stats
+
+    def distance(self, source: int, target: int) -> float:
+        """Exact distance between two covered vertices: :meth:`staged`'s."""
+        return self.staged(source, target)[0]
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
         """Batch :meth:`distance` with one vectorized Equation-1 stage.
@@ -1125,7 +1150,7 @@ class PackedEngineBase:
         if len(live) == 1:
             # The vectorized stages' fixed numpy cost is ~3x the scalar path.
             i = live[0]
-            distance = self.distance(*pairs[i])
+            distance = self.staged(*pairs[i])[0]
             out[i] = int(distance) if distance != math.inf else math.inf
             return out
         mu0s = batch_eq1(
@@ -1372,18 +1397,6 @@ class FastEngine(PackedEngineBase):
             return got
         fallback = self._fallback_seeds(v)
         return fallback[2], fallback[3]
-
-    def _fallback_seeds(self, v: int):
-        """Seeds of a vertex missing from the label tables (bare G_k id)."""
-        if self.csr.has_vertex(v):
-            dense = self.csr.dense_of[v]
-            return (
-                [dense],
-                [0],
-                np.array([dense], dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-            )
-        return [], [], _EMPTY, _EMPTY
 
     # PackedEngineBase hooks: on an undirected graph both query sides read
     # the same label table and one adjacency serves both searches.

@@ -36,8 +36,16 @@ registry under the ``"directed"`` kind):
   oracle of the cross-engine property tests, and for the mutable paths
   (dynamic updates, §8.3).
 
-Both engines return bit-identical answers and identical I/O accounting;
-path reconstruction (``keep_parents``) always runs on the reference search.
+The facade does the bookkeeping and the engine does the compute.
+:class:`_IndexFacade`, shared with the directed index, checks vertex
+coverage, charges disk-mode label I/O and routes each call to the
+approximate tier, the attached engine or the dict reference.  A packed
+engine stages Algorithm 1 once
+(:meth:`repro.core.fastlabels.PackedEngineBase.staged`): ``distance``
+returns that body's answer and :meth:`ISLabelIndex.query` reads its
+Table 4/5 fields from it.  Both engines return bit-identical answers and
+identical I/O accounting; path reconstruction (``keep_parents``) always
+runs on the reference search.
 """
 
 from __future__ import annotations
@@ -45,9 +53,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Self, Tuple
 
-from repro.core import kernels
 from repro.core.engines import UNDIRECTED, resolve_engine
 from repro.core.fastlabels import FastEngine, fast_top_down_labels
 from repro.core.hierarchy import DEFAULT_SIGMA, VertexHierarchy, build_hierarchy
@@ -59,12 +66,11 @@ from repro.core.labels import (
     eq1_distance_argmin,
     sort_label,
 )
-from repro.core.query import (
-    BiDijkstraResult,
-    SearchStats,
-    csr_label_bidijkstra,
-    label_bidijkstra,
-)
+from repro.core.query import BiDijkstraResult, SearchStats, label_bidijkstra
+
+# Importable from here as well: the benchmark suite's layer tracer
+# (benchmarks/suite/spans.py) wraps it under this module path.
+from repro.core.query import csr_label_bidijkstra  # noqa: F401
 from repro.errors import IndexBuildError, QueryError
 from repro.extmem.iomodel import CostModel, IOStats
 from repro.extmem.labelstore import NO_HINT, LabelStore
@@ -117,31 +123,44 @@ class QueryResult:
         return self.time_label_s + self.time_search_s
 
 
-class ISLabelIndex:
-    """A built IS-LABEL index over an undirected weighted graph."""
+class _IndexFacade:
+    """What the undirected index and the directed one (§8.2) share.
 
-    def __init__(
-        self,
-        hierarchy: VertexHierarchy,
-        labels: Dict[int, List[Tuple[int, int]]],
-        preds: Optional[Dict[int, Dict[int, Optional[int]]]],
-        store: Optional[LabelStore],
-        cost_model: CostModel,
-        labeling_seconds: float,
-        fast: Optional[FastEngine] = None,
-    ) -> None:
+    The facade owns the bookkeeping: vertex coverage, disk-mode label I/O,
+    the approximate tier and the implicit-label rule of :meth:`_label`.
+    Answers are computed by the attached engine, or by the orientation's
+    dict reference when none is attached.  An orientation supplies only
+    its own parts:
+
+    * ``_KIND`` — the engine registry kind;
+    * :meth:`_label_tables` — its entry-list label tables, in the order
+      its engine factories take them;
+    * :meth:`_build_sketch` — its hub-sketch tier;
+    * :meth:`_reference_distance` — its dict reference query.
+    """
+
+    _KIND: str
+    #: Disk mode's simulated label store.  Only the undirected index has
+    #: one; its ``_fetch_label`` charges the reads.
+    _store: Optional[LabelStore] = None
+
+    def __init__(self, hierarchy, labeling_seconds: float, fast) -> None:
         self.hierarchy = hierarchy
         self.gk = hierarchy.gk
-        self._labels = labels
-        self._preds = preds
-        self._store = store
-        self.cost_model = cost_model
         self._labeling_seconds = labeling_seconds
-        self.io_stats = store.stats if store is not None else IOStats()
         self._fast = fast
         # Lazily built hub sketch (the approximate tier); dropped whenever
         # labels change so it can never serve stale bounds.
         self._sketch = None
+
+    def _label_tables(self) -> Tuple[Dict[int, LabelEntryList], ...]:
+        raise NotImplementedError
+
+    def _build_sketch(self, h: int):
+        raise NotImplementedError
+
+    def _reference_distance(self, source: int, target: int) -> float:
+        raise NotImplementedError
 
     @property
     def engine(self) -> str:
@@ -161,18 +180,19 @@ class ISLabelIndex:
             return self._fast.name
         return "apsp" if self._fast.has_apsp else "csr"
 
-    def attach_fast_engine(self, engine: str = "fast") -> "ISLabelIndex":
+    def attach_fast_engine(self, engine: str = "fast") -> Self:
         """Attach the registered ``engine`` over the current labels/``G_k``.
 
-        Used by :func:`repro.core.serialization.load_index` and by tests
+        Used by the loaders in :mod:`repro.core.serialization` and by tests
         that construct indexes directly.  Resolves through the engine
         registry, so a replacement backend registered under the same name
-        is honoured everywhere.  The engine snapshots the labels — do not
-        mutate them afterwards (dynamic maintenance must stay on the dict
-        engine).
+        is honoured everywhere.  The engine snapshots the labels — mutate
+        them afterwards only through :meth:`invalidate_labels`.
         """
-        factory = resolve_engine(UNDIRECTED, engine)
-        self._fast = factory(self.gk, self._labels) if factory is not None else None
+        factory = resolve_engine(self._KIND, engine)
+        self._fast = (
+            factory(self.gk, *self._label_tables()) if factory is not None else None
+        )
         return self
 
     def invalidate_labels(self, dirty=None) -> None:
@@ -180,17 +200,148 @@ class ISLabelIndex:
         changed behind its back.
 
         The facade half of the dynamic seam: §8.3 maintenance
-        (:class:`repro.core.updates.DynamicISLabelIndex`) mutates
-        ``self._labels`` and ``self.hierarchy.gk`` in place — both shared
-        with the engine — then reports the touched vertices here.  With
-        ``dirty`` the engine may repair its frozen arrays incrementally;
-        with ``None`` it drops them and re-freezes on the next query.
-        No-op on the dict reference path, whose structures *are* the
-        mutable ones.
+        (:mod:`repro.core.updates`) mutates the label tables and
+        ``self.hierarchy.gk`` in place — both shared with the engine —
+        then reports the touched vertices here.  With ``dirty`` the engine
+        may repair its frozen arrays incrementally; with ``None`` it drops
+        them and re-freezes on the next query.  No-op on the dict
+        reference path, whose structures *are* the mutable ones.
         """
         self._sketch = None  # sketches are built from labels; never stale
         if self._fast is not None:
             self._fast.invalidate(dirty)
+
+    def hub_sketch(self, h: Optional[int] = None):
+        """The lazily built approximate tier (:mod:`repro.caching.sketch`).
+
+        One instance per label generation — :meth:`invalidate_labels`
+        drops it, so §8.3 updates rebuild it from current labels before
+        the next approximate query.  ``h`` pins the entries kept per
+        vertex (a different ``h`` rebuilds); ``h=None`` reuses whatever
+        sketch is already built, falling back to
+        :data:`~repro.caching.sketch.DEFAULT_SKETCH_H` on first use.
+        """
+        from repro.caching.sketch import DEFAULT_SKETCH_H
+
+        if h is None:
+            if self._sketch is not None:
+                return self._sketch
+            h = DEFAULT_SKETCH_H
+        if self._sketch is None or self._sketch.h != h:
+            self._sketch = self._build_sketch(h)
+        return self._sketch
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def distance(self, source: int, target: int) -> float:
+        """Exact ``dist_G(source, target)`` (``inf`` when unreachable)."""
+        self._check_vertex(source)
+        self._check_vertex(target)
+        if self._fast is None:
+            return self._reference_distance(source, target)
+        if self._store is not None:
+            self._charge_label_io(source, target)
+        return self._fast.distance(source, target)
+
+    def distances(self, pairs, approx: bool = False) -> List[float]:
+        """Batch form of :meth:`distance` over an iterable of (s, t) pairs.
+
+        On a packed engine this is a real batch path: Equation 1 runs
+        once, vectorized over the stacked label arrays of the whole batch,
+        and the search stage reuses one set of pooled buffers (or one
+        vectorized table reduction).  Disk-mode I/O accounting matches
+        :meth:`distance`.
+
+        ``approx=True`` answers from the hub-sketch tier instead: each
+        result is an *upper bound* on the true distance (frequently
+        exact — see :mod:`repro.caching.sketch` for the error contract)
+        computed from the top-``h`` label entries only, with no label
+        I/O and no search stage.  On a ``cached:*`` engine the bounds are
+        cached under the ``"approx"`` namespace, never visible to exact
+        queries.
+        """
+        pairs = list(pairs)
+        level_of = self.hierarchy.level_of
+        for s, t in pairs:
+            if s not in level_of or t not in level_of:
+                self._check_vertex(s)
+                self._check_vertex(t)
+        if approx:
+            sketch = self.hub_sketch()
+            if self._fast is not None and hasattr(self._fast, "distances_via"):
+                return self._fast.distances_via(pairs, sketch.bounds)
+            return sketch.bounds(pairs)
+        if self._fast is None:
+            return [self._reference_distance(s, t) for s, t in pairs]
+        if self._store is not None:
+            for s, t in pairs:
+                self._charge_label_io(s, t)
+        return self._fast.distances(pairs)
+
+    def reachable(self, source: int, target: int) -> bool:
+        """True iff ``target`` is reachable from ``source`` (§9)."""
+        return not math.isinf(self.distance(source, target))
+
+    def _charge_label_io(self, source: int, target: int) -> None:
+        """Disk mode: read the two labels Equation 1 needs (none when
+        ``source == target``)."""
+        if source != target:
+            self._fetch_label(source)
+            self._fetch_label(target)
+
+    def _implicit_label(self, table: Dict[int, LabelEntryList], v: int) -> bool:
+        """The one label rule: a ``G_k`` vertex carries the implicit label
+        ``[(v, 0)]``, stored nowhere and read at no I/O (Table 5's Type 1
+        queries rely on it) — unless §8.3 maintenance inserted it with an
+        enriched label, which is real and must be read."""
+        return self.hierarchy.in_gk(v) and len(table.get(v, ())) <= 1
+
+    def _label(self, table: Dict[int, LabelEntryList], v: int) -> LabelEntryList:
+        """``label(v)`` from ``table``, exactly as Equation 1 reads it."""
+        return [(v, 0)] if self._implicit_label(table, v) else table[v]
+
+    def _check_vertex(self, v: int) -> None:
+        if v not in self.hierarchy.level_of:
+            raise QueryError(f"vertex {v} is not covered by this index")
+
+    @property
+    def k(self) -> int:
+        return self.hierarchy.k
+
+
+class ISLabelIndex(_IndexFacade):
+    """A built IS-LABEL index over an undirected weighted graph."""
+
+    _KIND = UNDIRECTED
+
+    def __init__(
+        self,
+        hierarchy: VertexHierarchy,
+        labels: Dict[int, List[Tuple[int, int]]],
+        preds: Optional[Dict[int, Dict[int, Optional[int]]]],
+        store: Optional[LabelStore],
+        cost_model: CostModel,
+        labeling_seconds: float,
+        fast: Optional[FastEngine] = None,
+    ) -> None:
+        super().__init__(hierarchy, labeling_seconds, fast)
+        self._labels = labels
+        self._preds = preds
+        self._store = store
+        self.cost_model = cost_model
+        self.io_stats = store.stats if store is not None else IOStats()
+
+    def _label_tables(self):
+        return (self._labels,)
+
+    def _build_sketch(self, h: int):
+        from repro.caching.sketch import HubSketch
+
+        return HubSketch.from_index(self, h=h)
+
+    def _reference_distance(self, source: int, target: int) -> float:
+        return self._query_detailed(source, target)[0].distance
 
     # ------------------------------------------------------------------
     # Construction
@@ -280,73 +431,6 @@ class ISLabelIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> float:
-        """Exact ``dist_G(source, target)`` (``inf`` when disconnected)."""
-        return self.query(source, target).distance
-
-    def hub_sketch(self, h: Optional[int] = None):
-        """The lazily built approximate tier (:mod:`repro.caching.sketch`).
-
-        One instance per label generation — :meth:`invalidate_labels`
-        drops it, so §8.3 updates rebuild it from current labels before
-        the next approximate query.  ``h`` pins the entries kept per
-        vertex (a different ``h`` rebuilds); ``h=None`` reuses whatever
-        sketch is already built, falling back to
-        :data:`~repro.caching.sketch.DEFAULT_SKETCH_H` on first use.
-        """
-        from repro.caching.sketch import DEFAULT_SKETCH_H, HubSketch
-
-        if h is None:
-            if self._sketch is None:
-                self._sketch = HubSketch.from_index(self, h=DEFAULT_SKETCH_H)
-        elif self._sketch is None or self._sketch.table.h != h:
-            self._sketch = HubSketch.from_index(self, h=h)
-        return self._sketch
-
-    def distances(self, pairs, approx: bool = False) -> List[float]:
-        """Batch form of :meth:`distance` over an iterable of (s, t) pairs.
-
-        On the fast engine this is a real batch path: Equation 1 runs once,
-        vectorized over the stacked label arrays of the whole batch, the
-        CSR search shares one set of pooled buffers, and the per-query
-        :class:`QueryResult` and timing bookkeeping are skipped (I/O
-        accounting in disk mode is preserved).
-
-        ``approx=True`` answers from the hub-sketch tier instead: each
-        result is an *upper bound* on the true distance (frequently
-        exact — see :mod:`repro.caching.sketch` for the error contract)
-        computed from the top-``h`` label entries only, with no label
-        I/O and no search stage.  On a ``cached:*`` engine the bounds are
-        cached under the ``"approx"`` namespace, never visible to exact
-        queries.
-        """
-        if approx:
-            pairs = list(pairs)
-            sketch = self.hub_sketch()
-            if self._fast is not None and hasattr(self._fast, "distances_via"):
-                return self._fast.distances_via(pairs, sketch.bounds)
-            return sketch.bounds(pairs)
-        if self._fast is None:
-            return [self.query(s, t).distance for s, t in pairs]
-        # Facade duties before delegating the compute: vertex coverage and
-        # the simulated label I/O of disk mode.
-        pairs = list(pairs)
-        level_of = self.hierarchy.level_of
-        charge = self._store is not None
-        for s, t in pairs:
-            if s not in level_of:
-                raise QueryError(f"vertex {s} is not covered by this index")
-            if t not in level_of:
-                raise QueryError(f"vertex {t} is not covered by this index")
-            if charge and s != t:
-                self._fetch_label(s)
-                self._fetch_label(t)
-        return self._fast.distances(pairs)
-
-    def reachable(self, source: int, target: int) -> bool:
-        """True iff the endpoints are connected in ``G``."""
-        return not math.isinf(self.query(source, target).distance)
-
     def query(
         self, source: int, target: int, keep_parents: bool = False
     ) -> QueryResult:
@@ -371,127 +455,57 @@ class ISLabelIndex:
             )
 
         # Path reconstruction needs parent pointers, which only the
-        # reference search records; everything else takes the fast path.
-        if self._fast is not None and not keep_parents:
-            if not hasattr(self._fast, "eq1"):
-                # Protocol-only backend (e.g. the remote engine): it has
-                # no packed internals to stage through — delegate the
-                # whole query and time it as search cost.
-                started = time.perf_counter()
-                distance = self._fast.distance(source, target)
-                elapsed = time.perf_counter() - started
-                return (
-                    QueryResult(
-                        source, target, distance, table5_type, True, 0, 0.0, elapsed
-                    ),
-                    None,
-                )
-            return self._fast_query(source, target, table5_type)
-
-        ios_before = self.io_stats.block_reads
-        label_s = self._fetch_label(source)
-        label_t = self._fetch_label(target)
-        label_ios = self.io_stats.block_reads - ios_before
-        time_label_s = self.cost_model.time_for(label_ios)
-
-        search_started = time.perf_counter()
-        mu0, _ = eq1_distance_argmin(label_s, label_t)
-
-        seeds_f = self._gk_seeds(label_s)
-        seeds_r = self._gk_seeds(label_t)
-        # Type 1 (§5.2): no gateway into G_k on at least one side — the
-        # whole shortest path lies below level k and Equation 1 is exact.
-        # With a full hierarchy G_k is empty and every query lands here.
-        if not seeds_f or not seeds_r:
-            elapsed = time.perf_counter() - search_started
+        # reference search records; everything else runs on the engine.
+        engine = None if keep_parents else self._fast
+        if engine is not None and not hasattr(engine, "staged"):
+            # Protocol-only backend (e.g. the remote engine): it has no
+            # staged body to report from — delegate the whole query and
+            # time it as search cost.
+            started = time.perf_counter()
+            distance = engine.distance(source, target)
+            elapsed = time.perf_counter() - started
             return (
                 QueryResult(
-                    source,
-                    target,
-                    mu0,
-                    table5_type,
-                    False,
-                    label_ios,
-                    time_label_s,
-                    elapsed,
+                    source, target, distance, table5_type, True, 0, 0.0, elapsed
                 ),
                 None,
             )
 
-        result = label_bidijkstra(
-            self._gk_adjacency,
-            self._gk_adjacency,
-            seeds_f,
-            seeds_r,
-            initial_mu=mu0,
-            keep_parents=keep_parents,
-        )
-        elapsed = time.perf_counter() - search_started
-        return (
-            QueryResult(
-                source,
-                target,
-                result.distance,
-                table5_type,
-                True,
-                label_ios,
-                time_label_s,
-                elapsed,
-                result.stats,
-            ),
-            result,
-        )
-
-    def _fast_query(
-        self, source: int, target: int, table5_type: int
-    ) -> Tuple[QueryResult, None]:
-        """Array-native query: merge Eq. 1, pre-extracted seeds, CSR search."""
-        fast = self._fast
-        fast.freeze()
         ios_before = self.io_stats.block_reads
-        if self._store is not None:
-            # Same I/O accounting as the reference path: the store charge
-            # is the model, the arrays are the compute.
-            self._fetch_label(source)
-            self._fetch_label(target)
-        label_ios = self.io_stats.block_reads - ios_before
-        time_label_s = self.cost_model.time_for(label_ios)
-
-        search_started = time.perf_counter()
-        mu0, _ = fast.eq1(source, target)
-        use_apsp = fast.has_apsp
-        native = use_apsp or kernels.BACKEND == "c"
-        seeds_of = fast.seeds_np if native else fast.seeds
-        seeds_f = seeds_of(source)
-        seeds_r = seeds_of(target)
-        if not len(seeds_f[0]) or not len(seeds_r[0]):
-            elapsed = time.perf_counter() - search_started
-            return (
-                QueryResult(
-                    source,
-                    target,
-                    mu0,
-                    table5_type,
-                    False,
-                    label_ios,
-                    time_label_s,
-                    elapsed,
-                ),
-                None,
-            )
-        stats: Optional[SearchStats] = None
-        if use_apsp:
-            distance = fast.search_distance(seeds_f, seeds_r, mu0)
+        if engine is None:
+            label_s = self._fetch_label(source)
+            label_t = self._fetch_label(target)
         else:
-            forward, _ = fast._search_arrays(native)
-            distance, _, stats = csr_label_bidijkstra(
-                *forward,
-                seeds_f,
-                seeds_r,
-                fast.pool,
-                fast.csr.num_vertices,
-                initial_mu=mu0,
-            )
+            engine.freeze()  # one-time packing is not Time (b)
+            if self._store is not None:
+                self._charge_label_io(source, target)
+        label_ios = self.io_stats.block_reads - ios_before
+        time_label_s = self.cost_model.time_for(label_ios)
+
+        search_started = time.perf_counter()
+        result = None
+        if engine is not None:
+            distance, used_search, stats = engine.staged(source, target)
+        else:
+            distance, _ = eq1_distance_argmin(label_s, label_t)
+            seeds_f = self._gk_seeds(label_s)
+            seeds_r = self._gk_seeds(label_t)
+            # Type 1 (§5.2): no gateway into G_k on at least one side — the
+            # whole shortest path lies below level k and Equation 1 is
+            # exact.  With a full hierarchy G_k is empty and every query
+            # lands here.
+            used_search = bool(seeds_f and seeds_r)
+            stats = None
+            if used_search:
+                result = label_bidijkstra(
+                    self._gk_adjacency,
+                    self._gk_adjacency,
+                    seeds_f,
+                    seeds_r,
+                    initial_mu=distance,
+                    keep_parents=keep_parents,
+                )
+                distance, stats = result.distance, result.stats
         elapsed = time.perf_counter() - search_started
         return (
             QueryResult(
@@ -499,13 +513,13 @@ class ISLabelIndex:
                 target,
                 distance,
                 table5_type,
-                True,
+                used_search,
                 label_ios,
                 time_label_s,
                 elapsed,
                 stats,
             ),
-            None,
+            result,
         )
 
     def _gk_adjacency(self, v: int):
@@ -517,18 +531,10 @@ class ISLabelIndex:
         return [(w, d) for w, d in label if gk.has_vertex(w)]
 
     def _fetch_label(self, v: int) -> LabelEntryList:
-        """Label of ``v``; G_k vertices are implicit ``{(v, 0)}`` at no I/O.
-
-        Table 5 relies on this: Type 1 queries (both endpoints in ``G_k``)
-        show Time (a) = 0 because "there is no need to lookup the labels".
-        Dynamically inserted vertices (§8.3) live in ``G_k`` but may carry
-        an enriched label, which must genuinely be fetched.
-        """
-        if self.hierarchy.in_gk(v) and len(self._labels.get(v, ())) <= 1:
-            return [(v, 0)]
-        if self._store is not None:
-            return self._store.fetch(v)
-        return self._labels[v]
+        """:meth:`label` of ``v``, charged to the disk-mode store if real."""
+        if self._store is None or self._implicit_label(self._labels, v):
+            return self._label(self._labels, v)
+        return self._store.fetch(v)
 
     def _fetch_preds(self, v: int) -> Dict[int, Optional[int]]:
         """Predecessor map of ``label(v)`` (path mode only)."""
@@ -537,10 +543,6 @@ class ISLabelIndex:
         if self.hierarchy.in_gk(v):
             return {v: None}
         return self._preds[v]
-
-    def _check_vertex(self, v: int) -> None:
-        if v not in self.hierarchy.level_of:
-            raise QueryError(f"vertex {v} is not covered by this index")
 
     # ------------------------------------------------------------------
     # Reporting
@@ -567,16 +569,10 @@ class ISLabelIndex:
             sigma=hierarchy.sigma,
         )
 
-    @property
-    def k(self) -> int:
-        return self.hierarchy.k
-
     def label(self, v: int) -> LabelEntryList:
         """Public read access to ``label(v)`` (no I/O accounting)."""
         self._check_vertex(v)
-        if self.hierarchy.in_gk(v):
-            return [(v, 0)]
-        return self._labels[v]
+        return self._label(self._labels, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats

@@ -150,7 +150,7 @@ def external_top_down_labels(
     belongs to a vertex present in a buffered label, it is merged in — the
     literal lines 8–17 of Algorithm 4, including the merging of *indirect*
     ancestors, which is redundant but harmless (their d-values are already
-    minimal via direct neighbours; see DESIGN.md).
+    minimal via direct neighbours; see docs/ARCHITECTURE.md).
 
     Parameters
     ----------

@@ -11,7 +11,8 @@ Two query modes:
   the label intersection provides the initial pruning bound ``µ``; the
   bidirectional search stops as soon as ``min(FQ) + min(RQ) ≥ µ``.
 
-Deviation from the paper's pseudocode (see DESIGN.md §4): ``µ`` is updated
+Deviation from the paper's pseudocode (see "Deviations from the paper" in
+``docs/ARCHITECTURE.md``): ``µ`` is updated
 against the opposite side's *tentative* distances — on every scanned edge
 and on every extraction — not only against settled entries inside the
 improvement branch.  Tentative distances are always realizable path lengths
@@ -180,7 +181,7 @@ def label_bidijkstra(
                 stats.heap_pushes += 1
                 if keep_parents:
                     parents_x[u] = v
-            # µ update on every scan (DESIGN.md §4): the head may already
+            # µ update on every scan (module docstring): the head may already
             # carry a distance on the other side whose meeting with this
             # side was never evaluated.
             other_u = dist_o.get(u)
@@ -382,7 +383,7 @@ def csr_label_bidijkstra_reference(
                 seen_x[u] = epoch
                 push(heap, candidate * n + u)
                 pushes += 1
-            # µ update on every scan (DESIGN.md §4): the head may already
+            # µ update on every scan (module docstring): the head may already
             # carry a distance on the other side whose meeting with this
             # side was never evaluated.
             if seen_o[u] == epoch:

@@ -5,7 +5,8 @@ their low-level neighbours' labels (and those neighbours' descendants) learn
 about them, deleted vertices are scrubbed from the labels that mention them,
 and "we can rebuild the index periodically".
 
-Faithfulness notes (see also DESIGN.md):
+Faithfulness notes (see also "Deviations from the paper" in
+``docs/ARCHITECTURE.md``):
 
 * **Insertions.**  We implement the paper's descendant propagation and add
   one engineering extension the text implies but does not spell out: the new
@@ -39,13 +40,15 @@ exactly after arbitrary update/query interleavings.
 directed index: an inserted vertex's *out*-arcs patch the in-labels of the
 arc heads' in-descendants (vertices the head can reach), its *in*-arcs
 patch the out-labels of the arc tails' out-descendants, and the new vertex
-receives merged out/in labels of its own.
+receives merged out/in labels of its own.  Both dynamic indexes share
+:class:`_DynamicIndexBase` (live graph, counters, queries, rebuild); each
+keeps only its own updates and descendant maps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Self, Set, Tuple
 
 from repro.core.directed import DirectedISLabelIndex
 from repro.core.index import ISLabelIndex, QueryResult
@@ -58,7 +61,7 @@ __all__ = ["DynamicISLabelIndex", "DynamicDirectedISLabelIndex"]
 LabelTable = Dict[int, List[Tuple[int, int]]]
 
 
-def _descendant_map(labels: LabelTable) -> Dict[int, Set[int]]:
+def _build_descendant_map(labels: LabelTable) -> Dict[int, Set[int]]:
     """``ancestor -> vertices whose label mentions it`` for one table."""
     table: Dict[int, Set[int]] = {}
     for v, entries in labels.items():
@@ -107,59 +110,126 @@ def _patch_label(
     return True
 
 
-class DynamicISLabelIndex:
+class _DynamicIndexBase:
+    """What the two §8.3 dynamic indexes share: the live graph, the index
+    built over it, the update counters and the periodic rebuild.
+
+    A subclass names its index class in ``_INDEX`` and implements
+    ``insert_vertex``/``delete_vertex`` over the index's label tables,
+    reading each table's descendant map through :meth:`_descendant_map`.
+    """
+
+    _INDEX: type
+
+    def __init__(self, graph: Graph | DiGraph, **build_kwargs) -> None:
+        if build_kwargs.get("with_paths"):
+            raise QueryError("dynamic maintenance supports distance-only indexes")
+        self.graph = graph.copy()
+        self._build_kwargs = dict(build_kwargs)
+        self._adopt(self._INDEX.build(self.graph, **self._build_kwargs))
+
+    @classmethod
+    def from_parts(
+        cls,
+        graph: Graph | DiGraph,
+        index: ISLabelIndex | DirectedISLabelIndex,
+        inserts_applied: int = 0,
+        deletes_applied: int = 0,
+        approximate: bool = False,
+        build_kwargs: Optional[Dict] = None,
+    ) -> Self:
+        """Adopt an existing live graph + index without rebuilding.
+
+        Used by :func:`repro.core.serialization.load_dynamic_index` (and
+        its directed twin) to restore saved dynamic state; ``build_kwargs``
+        seed the next :meth:`rebuild` (the engine defaults to the loaded
+        index's).
+        """
+        self = cls.__new__(cls)
+        self.graph = graph
+        self._build_kwargs = dict(build_kwargs or {})
+        self._build_kwargs.setdefault("engine", index.engine)
+        self._adopt(index, inserts_applied, deletes_applied, approximate)
+        return self
+
+    def _adopt(
+        self,
+        index: ISLabelIndex | DirectedISLabelIndex,
+        inserts_applied: int = 0,
+        deletes_applied: int = 0,
+        approximate: bool = False,
+    ) -> None:
+        self.index = index
+        self.inserts_applied = inserts_applied
+        self.deletes_applied = deletes_applied
+        self.approximate = approximate
+        # label-table attribute name -> its descendant map, built lazily
+        self._descendants: Dict[str, Dict[int, Set[int]]] = {}
+
+    @property
+    def engine(self) -> str:
+        """Registry name of the serving backend (see the index's ``engine``)."""
+        return self.index.engine
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def distance(self, source: int, target: int) -> float:
+        """Distance under the lazily-maintained index.
+
+        Exactness caveats after updates are documented in the module
+        docstring; use :meth:`rebuild` to restore full guarantees.
+        """
+        return self.index.distance(source, target)
+
+    def distances(self, pairs) -> List[float]:
+        """Batch form of :meth:`distance` (the engine's batch path)."""
+        return self.index.distances(pairs)
+
+    def exact_distance(self, source: int, target: int) -> float:
+        """:meth:`distance`, refused with :class:`StaleIndexError` while
+        deletions have left the index approximate (call :meth:`rebuild`)."""
+        if self.approximate:
+            raise StaleIndexError(
+                f"index is approximate after {self.deletes_applied} deletions; "
+                "call rebuild()"
+            )
+        return self.index.distance(source, target)
+
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+    @property
+    def staleness(self) -> int:
+        """Number of updates applied since the last rebuild."""
+        return self.inserts_applied + self.deletes_applied
+
+    def rebuild(self) -> None:
+        """Rebuild the index over the live graph (the paper's periodic rebuild)."""
+        self._adopt(self._INDEX.build(self.graph, **self._build_kwargs))
+
+    def _descendant_map(self, table: str) -> Dict[int, Set[int]]:
+        """``ancestor -> vertices whose label mentions it`` for the index's
+        label table ``table`` (built on first use, then kept current)."""
+        found = self._descendants.get(table)
+        if found is None:
+            found = _build_descendant_map(getattr(self.index, table))
+            self._descendants[table] = found
+        return found
+
+
+class DynamicISLabelIndex(_DynamicIndexBase):
     """An :class:`ISLabelIndex` plus §8.3 update maintenance.
 
     Keeps the live graph alongside the index so that updates can be applied
-    to both and :meth:`rebuild` can re-index from scratch.  Queries are
+    to both and :meth:`rebuild` can re-index the live graph.  Queries are
     served by whichever engine the index was built with (``"fast"`` by
     default — each update invalidates the engine incrementally, so the
     packed hot path keeps answering between updates); build with
     ``engine="dict"`` for the reference oracle.
     """
 
-    def __init__(self, graph: Graph, **build_kwargs) -> None:
-        if build_kwargs.get("with_paths"):
-            raise QueryError("dynamic maintenance supports distance-only indexes")
-        self.graph = graph.copy()
-        self._build_kwargs = dict(build_kwargs)
-        self.index = ISLabelIndex.build(self.graph, **self._build_kwargs)
-        self.inserts_applied = 0
-        self.deletes_applied = 0
-        self.approximate = False
-        self._descendants: Optional[Dict[int, Set[int]]] = None
-
-    @classmethod
-    def from_parts(
-        cls,
-        graph: Graph,
-        index: ISLabelIndex,
-        inserts_applied: int = 0,
-        deletes_applied: int = 0,
-        approximate: bool = False,
-        build_kwargs: Optional[Dict] = None,
-    ) -> "DynamicISLabelIndex":
-        """Adopt an existing live graph + index without rebuilding.
-
-        Used by :func:`repro.core.serialization.load_dynamic_index` to
-        restore saved dynamic state; ``build_kwargs`` seed the next
-        :meth:`rebuild` (the engine defaults to the loaded index's).
-        """
-        self = cls.__new__(cls)
-        self.graph = graph
-        self._build_kwargs = dict(build_kwargs or {})
-        self._build_kwargs.setdefault("engine", index.engine)
-        self.index = index
-        self.inserts_applied = inserts_applied
-        self.deletes_applied = deletes_applied
-        self.approximate = approximate
-        self._descendants = None
-        return self
-
-    @property
-    def engine(self) -> str:
-        """Registry name of the serving backend (see ``ISLabelIndex.engine``)."""
-        return self.index.engine
+    _INDEX = ISLabelIndex
 
     # ------------------------------------------------------------------
     # Updates
@@ -187,7 +257,7 @@ class DynamicISLabelIndex:
         index = self.index
         labels = index._labels
         hierarchy = index.hierarchy
-        descendants = self._descendant_map()
+        descendants = self._descendant_map("_labels")
         dirty: Set[int] = {vertex}
 
         # The new vertex lives in G_k at level k.
@@ -231,7 +301,7 @@ class DynamicISLabelIndex:
 
         index = self.index
         hierarchy = index.hierarchy
-        descendants = self._descendant_map()
+        descendants = self._descendant_map("_labels")
         mentioned = descendants.get(vertex, set())
         dirty: Set[int] = {vertex} | set(mentioned)
 
@@ -257,64 +327,15 @@ class DynamicISLabelIndex:
         self.deletes_applied += 1
         index.invalidate_labels(dirty)
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> float:
-        """Distance under the lazily-maintained index.
-
-        Exactness caveats after updates are documented in the module
-        docstring; use :meth:`rebuild` to restore full guarantees.
-        """
-        return self.index.distance(source, target)
-
-    def distances(self, pairs) -> List[float]:
-        """Batch form of :meth:`distance` (the fast engine's batch path)."""
-        return self.index.distances(pairs)
-
     def query(self, source: int, target: int) -> QueryResult:
         return self.index.query(source, target)
-
-    def exact_distance(self, source: int, target: int) -> float:
-        """Distance with guaranteed exactness (rebuilds first if stale)."""
-        if self.approximate:
-            raise StaleIndexError(
-                f"index is approximate after {self.deletes_applied} deletions; "
-                "call rebuild()"
-            )
-        return self.index.distance(source, target)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    @property
-    def staleness(self) -> int:
-        """Number of updates applied since the last rebuild."""
-        return self.inserts_applied + self.deletes_applied
-
-    def rebuild(self) -> None:
-        """Re-index the live graph from scratch (the paper's periodic rebuild)."""
-        self.index = ISLabelIndex.build(self.graph, **self._build_kwargs)
-        self.inserts_applied = 0
-        self.deletes_applied = 0
-        self.approximate = False
-        self._descendants = None
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _descendant_map(self) -> Dict[int, Set[int]]:
-        """``ancestor -> vertices whose label mentions it`` (built lazily)."""
-        if self._descendants is None:
-            self._descendants = _descendant_map(self.index._labels)
-        return self._descendants
 
     def _flush(self, w: int) -> None:
         if self.index._store is not None:
             self.index._store.put(w, self.index._labels[w])
 
 
-class DynamicDirectedISLabelIndex:
+class DynamicDirectedISLabelIndex(_DynamicIndexBase):
     """A :class:`DirectedISLabelIndex` plus §8.3 update maintenance.
 
     The directed analogue of :class:`DynamicISLabelIndex`: an inserted
@@ -328,45 +349,7 @@ class DynamicDirectedISLabelIndex:
     ``invalidate_labels`` so the directed fast engine keeps serving.
     """
 
-    def __init__(self, graph: DiGraph, **build_kwargs) -> None:
-        if build_kwargs.get("with_paths"):
-            raise QueryError("dynamic maintenance supports distance-only indexes")
-        self.graph = graph.copy()
-        self._build_kwargs = dict(build_kwargs)
-        self.index = DirectedISLabelIndex.build(self.graph, **self._build_kwargs)
-        self.inserts_applied = 0
-        self.deletes_applied = 0
-        self.approximate = False
-        self._out_descendants: Optional[Dict[int, Set[int]]] = None
-        self._in_descendants: Optional[Dict[int, Set[int]]] = None
-
-    @classmethod
-    def from_parts(
-        cls,
-        graph: DiGraph,
-        index: DirectedISLabelIndex,
-        inserts_applied: int = 0,
-        deletes_applied: int = 0,
-        approximate: bool = False,
-        build_kwargs: Optional[Dict] = None,
-    ) -> "DynamicDirectedISLabelIndex":
-        """Adopt an existing live digraph + index without rebuilding."""
-        self = cls.__new__(cls)
-        self.graph = graph
-        self._build_kwargs = dict(build_kwargs or {})
-        self._build_kwargs.setdefault("engine", index.engine)
-        self.index = index
-        self.inserts_applied = inserts_applied
-        self.deletes_applied = deletes_applied
-        self.approximate = approximate
-        self._out_descendants = None
-        self._in_descendants = None
-        return self
-
-    @property
-    def engine(self) -> str:
-        """Registry name of the serving backend."""
-        return self.index.engine
+    _INDEX = DirectedISLabelIndex
 
     # ------------------------------------------------------------------
     # Updates
@@ -402,8 +385,8 @@ class DynamicDirectedISLabelIndex:
         hierarchy = index.hierarchy
         out_labels = index._out_labels
         in_labels = index._in_labels
-        out_desc = self._out_descendant_map()
-        in_desc = self._in_descendant_map()
+        out_desc = self._descendant_map("_out_labels")
+        in_desc = self._descendant_map("_in_labels")
         dirty: Set[int] = {vertex}
 
         hierarchy.gk.add_vertex(vertex)
@@ -466,8 +449,8 @@ class DynamicDirectedISLabelIndex:
 
         index = self.index
         hierarchy = index.hierarchy
-        out_desc = self._out_descendant_map()
-        in_desc = self._in_descendant_map()
+        out_desc = self._descendant_map("_out_labels")
+        in_desc = self._descendant_map("_in_labels")
         mentioned = out_desc.get(vertex, set()) | in_desc.get(vertex, set())
         dirty: Set[int] = {vertex} | mentioned
 
@@ -493,56 +476,6 @@ class DynamicDirectedISLabelIndex:
         self.deletes_applied += 1
         index.invalidate_labels(dirty)
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> float:
-        """Directed distance under the lazily-maintained index."""
-        return self.index.distance(source, target)
-
-    def distances(self, pairs) -> List[float]:
-        """Batch form of :meth:`distance`."""
-        return self.index.distances(pairs)
-
     def reachable(self, source: int, target: int) -> bool:
         """Directed reachability under the lazily-maintained index."""
         return self.index.reachable(source, target)
-
-    def exact_distance(self, source: int, target: int) -> float:
-        """Distance with guaranteed exactness (rebuilds first if stale)."""
-        if self.approximate:
-            raise StaleIndexError(
-                f"index is approximate after {self.deletes_applied} deletions; "
-                "call rebuild()"
-            )
-        return self.index.distance(source, target)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    @property
-    def staleness(self) -> int:
-        """Number of updates applied since the last rebuild."""
-        return self.inserts_applied + self.deletes_applied
-
-    def rebuild(self) -> None:
-        """Re-index the live digraph from scratch."""
-        self.index = DirectedISLabelIndex.build(self.graph, **self._build_kwargs)
-        self.inserts_applied = 0
-        self.deletes_applied = 0
-        self.approximate = False
-        self._out_descendants = None
-        self._in_descendants = None
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _out_descendant_map(self) -> Dict[int, Set[int]]:
-        if self._out_descendants is None:
-            self._out_descendants = _descendant_map(self.index._out_labels)
-        return self._out_descendants
-
-    def _in_descendant_map(self) -> Dict[int, Set[int]]:
-        if self._in_descendants is None:
-            self._in_descendants = _descendant_map(self.index._in_labels)
-        return self._in_descendants

@@ -21,7 +21,8 @@ mid-density datasets (web 16.4, skitter 13.1, google 9.9) are not
 reproducible jointly with deep hierarchies at 10^4 scale — hierarchy depth
 is a function of how much low-degree periphery survives each peel, and
 periphery fraction shrinks with graph scale.  The stand-ins keep the
-degree *skew* and reduce the density; EXPERIMENTS.md discusses the impact.
+degree *skew* and reduce the density; "Deviations from the paper" in
+``docs/ARCHITECTURE.md`` discusses the impact.
 
 Every builder returns a connected graph (the paper extracts the largest
 component of Web too) and is deterministic for a given ``scale``.

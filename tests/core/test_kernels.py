@@ -166,6 +166,7 @@ class TestLoader:
         pairs = random_pairs(g, 40, seed=5)
         want = engine.distances(pairs)
         want_query = [index.query(s, t).search for s, t in pairs]
+        assert any(stats is not None for stats in want_query)  # CSR stats reported
 
         def no_compiler(name, target):
             raise subprocess.CalledProcessError(1, "cc", stderr=b"error: cc: not found")

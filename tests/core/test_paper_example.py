@@ -3,7 +3,7 @@
 These tests replay §4/§5's 9-vertex walkthrough with the paper's own level
 assignment and assert the published artefacts verbatim — the one exception
 being the documented label(f) erratum (see repro/workloads/paper_example.py
-and DESIGN.md §4).
+and docs/ARCHITECTURE.md).
 """
 
 import pytest

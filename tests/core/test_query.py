@@ -75,7 +75,7 @@ class TestPruning:
 
 class TestSeedMeetingRegression:
     def test_meeting_at_reverse_seed(self):
-        """Regression for the stop-condition gap (DESIGN.md §4).
+        """Regression for the stop-condition gap (docs/ARCHITECTURE.md).
 
         The meeting vertex is a reverse label seed the forward search
         reaches exactly when ``min_f + min_r`` crosses the stale µ; the

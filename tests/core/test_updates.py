@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.baselines.dijkstra import dijkstra_distance
+from repro.core.fastlabels import array_label_entries
 from repro.core.serialization import (
     load_dynamic_directed_index,
     load_dynamic_index,
@@ -86,6 +87,16 @@ class TestInsertion:
     def test_insert_needs_nonempty_adjacency(self, dyn):
         with pytest.raises(GraphError):
             dyn.insert_vertex(1000, {})
+
+    def test_label_of_inserted_vertex_is_the_eq1_label(self, dyn):
+        """``label(v)`` of a §8.3-inserted G_k vertex is its enriched
+        label, the one Equation 1 reads on both engines."""
+        dyn.insert_vertex(1000, {0: 2, 5: 1, 17: 3})
+        index = dyn.index
+        label = index.label(1000)
+        assert len(label) > 1
+        assert label == index._fetch_label(1000)
+        assert label == array_label_entries(index._fast.label(1000))
 
     def test_insert_into_gk_neighbours(self, dyn):
         gk = sorted(dyn.index.gk.vertices())[:2]
@@ -292,6 +303,17 @@ class TestDynamicDirected:
         expected = [ref.distance(s, t) for s, t in pairs]
         assert [fast.distance(s, t) for s, t in pairs] == expected
         assert fast.distances(pairs) == expected
+
+    def test_labels_of_inserted_vertex_are_the_eq1_labels(self, ddyn):
+        """``out_label``/``in_label`` of a §8.3-inserted vertex are the
+        enriched labels the engine's Equation 1 reads."""
+        ddyn.insert_vertex(1000, out_arcs={0: 2, 3: 1}, in_arcs={5: 1, 7: 2})
+        index = ddyn.index
+        engine = index._fast
+        out_label, in_label = index.out_label(1000), index.in_label(1000)
+        assert len(out_label) > 1 and len(in_label) > 1
+        assert out_label == array_label_entries(engine.out_label(1000))
+        assert in_label == array_label_entries(engine.in_label(1000))
 
     def test_delete_marks_approximate_and_guards(self, ddyn):
         victim = sorted(ddyn.graph.vertices())[1]

@@ -41,10 +41,18 @@ def _assert_one_pair_batches_agree(index, pairs, expected):
         assert type(got) is type(typed), pair
 
 
+def _block_reads(index, call):
+    """Simulated label-store block reads one ``call()`` adds."""
+    before = index.io_stats.block_reads
+    call()
+    return index.io_stats.block_reads - before
+
+
 def _assert_engines_and_oracle_agree(graph, **build_kwargs):
     fast = ISLabelIndex.build(graph, engine="fast", **build_kwargs)
     ref = ISLabelIndex.build(graph, engine="dict", **build_kwargs)
     assert fast.engine == "fast" and ref.engine == "dict"
+    disk = build_kwargs.get("storage") == "disk"
     for s in graph.vertices():
         truth = dijkstra(graph, s)
         for t in graph.vertices():
@@ -54,7 +62,17 @@ def _assert_engines_and_oracle_agree(graph, **build_kwargs):
             assert qf.distance == expected, (s, t, "fast")
             assert qd.distance == expected, (s, t, "dict")
             assert qf.query_type == qd.query_type, (s, t)
+            assert qf.used_bidijkstra == qd.used_bidijkstra, (s, t)
             assert qf.label_ios == qd.label_ios, (s, t)
+            if disk:
+                # Every entry point charges the same label I/O as query().
+                for index in (fast, ref):
+                    reads = {
+                        _block_reads(index, lambda: index.distance(s, t)),
+                        _block_reads(index, lambda: index.distances([(s, t)])),
+                        _block_reads(index, lambda: index.query(s, t)),
+                    }
+                    assert reads == {qd.label_ios}, (s, t, index.engine, reads)
     pairs = _all_pairs(graph)
     _assert_one_pair_batches_agree(fast, pairs, ref.distances(pairs))
 
