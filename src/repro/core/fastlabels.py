@@ -10,8 +10,7 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
   (ancestors, distances) sorted by ancestor id within each label — the
   paper's on-disk layout (§6.2); per-vertex labels are zero-copy views, so
   freezing the engine is a single batch conversion, and Equation 1 is a
-  merge over two sorted arrays (:func:`eq1_merge`, with a scalar fallback
-  for tiny labels where numpy call overhead dominates);
+  merge over two sorted arrays;
 * :func:`fast_top_down_labels` runs Algorithm 4's merge as a sorted-array
   k-way min-merge (``np.lexsort`` + first-of-group selection) whenever the
   merged label is large, falling back to the dict merge below the measured
@@ -26,8 +25,15 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
   lazily-filled **all-pairs distance table** over ``G_k``: by the
   decomposition behind Theorem 4 the query equals
   ``min(µ0, min_{a,b} d(s,a) + dist_Gk(a,b) + d(b,t))`` over the two seed
-  sets, which one fancy-indexed numpy reduction evaluates — answers are
-  bit-identical to running Algorithm 1's bidirectional search.
+  sets — answers are bit-identical to running Algorithm 1's
+  bidirectional search.  With the compiled module of
+  :mod:`repro.core.kernels` loaded, one C call answers a whole query
+  (Equation 1, the seeds and this reduction) and another a whole
+  ``distances()`` batch; otherwise the reference bodies run — the
+  engines' ``eq1`` (:func:`eq1_merge`, with a scalar fallback for tiny
+  labels) and :meth:`PackedEngineBase.search_distance`, and for a batch
+  :func:`batch_eq1` plus :func:`batch_table_stage`.  They stay the oracle
+  the compiled path is tested against.
 
 The engine is read-only *between invalidations*: dynamic maintenance
 (§8.3) mutates the entry lists in place and then reports the touched
@@ -881,7 +887,9 @@ class PackedEngineBase:
         Requires :attr:`has_apsp`; rows of the table are filled on first
         use by a plain Dijkstra over the (forward) CSR arrays — each row is
         computed at most once per engine lifetime, so a query workload
-        amortizes the whole table while construction pays nothing.
+        amortizes the whole table while construction pays nothing.  The
+        reference body: with the compiled module :meth:`staged` runs
+        :func:`repro.core.kernels.table_query` instead.
         """
         ids_s, d_s = seeds_s
         ids_t, d_t = seeds_t
@@ -919,7 +927,7 @@ class PackedEngineBase:
     def _fill_apsp_row(self, a: int) -> None:
         """Fill table row ``a``: Dijkstra from ``a`` over the forward CSR."""
         self._apsp[a] = self._dijkstra_row(a, self.indptr, self.indices, self.weights)
-        self._apsp_done[a] = True
+        kernels.mark_row_done(self._apsp_done, a)
 
     # ------------------------------------------------------------------
     # Invalidation (full and §8.3-incremental)
@@ -1091,21 +1099,35 @@ class PackedEngineBase:
     ) -> Tuple[float, bool, Optional[SearchStats]]:
         """Algorithm 1 for one covered pair: ``(distance, used_search, stats)``.
 
-        Equation 1, the pre-extracted seeds, then the table reduction or
-        the CSR bidirectional Dijkstra.  ``used_search`` is False when a
-        side has no ``G_k`` seed (Equation 1 alone is exact); ``stats`` are
-        the CSR search's counters (``None`` on the table stage).  This is
-        the one staging of a single query: :meth:`distance` returns its
-        distance and :meth:`repro.core.index.ISLabelIndex.query` its Table
-        4/5 fields.  Vertex coverage and I/O accounting belong to the
-        index facade.
+        Equation 1, the seeds, then the table reduction or the CSR
+        bidirectional Dijkstra.  ``used_search`` is False when a side has
+        no ``G_k`` seed (Equation 1 alone is exact); ``stats`` are the CSR
+        search's counters (``None`` on the table stage).  In table mode
+        with the compiled module, :func:`repro.core.kernels.table_query`
+        runs all three stages in one call; otherwise :meth:`eq1`, the
+        pre-extracted seeds and :meth:`search_distance` (or the CSR search)
+        run here.  This is the one staging of a single query:
+        :meth:`distance` returns its distance and
+        :meth:`repro.core.index.ISLabelIndex.query` its Table 4/5 fields.
+        Vertex coverage and I/O accounting belong to the index facade.
         """
         if source == target:
             return 0, False, None
         if not self.frozen:
             self.freeze()
-        mu0, _ = self.eq1(source, target)
         table = self._apsp is not None
+        if table and kernels.BACKEND == "c":
+            distance, used_search = kernels.table_query(
+                self._label_f(source),
+                self._label_r(target),
+                self.csr.ids_array,
+                self._apsp,
+                self._apsp_done,
+                self._fill_apsp_row,
+                self.pool,
+            )
+            return distance, used_search, None
+        mu0, _ = self.eq1(source, target)
         native = table or kernels.BACKEND == "c"
         seeds_f = (self._seeds_f_np if native else self._seeds_f)(source)
         seeds_r = (self._seeds_r_np if native else self._seeds_r)(target)
@@ -1132,12 +1154,14 @@ class PackedEngineBase:
         return self.staged(source, target)[0]
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        """Batch :meth:`distance` with one vectorized Equation-1 stage.
+        """Batch :meth:`distance`, one stage at a time over the batch.
 
-        Stage 1 runs :func:`batch_eq1` once over the stacked label arrays
-        of the whole batch (one ``searchsorted``, one scatter-min) instead
-        of a per-pair merge.  In table mode, stage 2 vectorizes across the
-        batch too (:func:`batch_table_stage`); in CSR mode it reuses the
+        In table mode with the compiled module,
+        :func:`repro.core.kernels.table_batch` answers the whole batch in
+        one call.  Otherwise stage 1 runs :func:`batch_eq1` once over the
+        stacked label arrays (one ``searchsorted``, one scatter-min); in
+        table mode stage 2 vectorizes across the batch too
+        (:func:`batch_table_stage`), and in CSR mode it reuses the
         thread's pooled search buffers across every remaining pair.
         """
         pairs = list(pairs)
@@ -1153,10 +1177,22 @@ class PackedEngineBase:
             distance = self.staged(*pairs[i])[0]
             out[i] = int(distance) if distance != math.inf else math.inf
             return out
-        mu0s = batch_eq1(
-            [self._label_f(pairs[i][0]) for i in live],
-            [self._label_r(pairs[i][1]) for i in live],
-        )
+        labels_f = [self._label_f(pairs[i][0]) for i in live]
+        labels_r = [self._label_r(pairs[i][1]) for i in live]
+        if self._apsp is not None and kernels.BACKEND == "c":
+            answers = kernels.table_batch(
+                labels_f,
+                labels_r,
+                self.csr.ids_array,
+                self._apsp,
+                self._apsp_done,
+                self._fill_apsp_row,
+                self.pool,
+            )
+            for i, answer in zip(live, answers):
+                out[i] = answer
+            return out
+        mu0s = batch_eq1(labels_f, labels_r)
         if self._apsp is not None:
             seeds_f = [self._seeds_f_np(pairs[i][0]) for i in live]
             seeds_r = [self._seeds_r_np(pairs[i][1]) for i in live]
@@ -1278,14 +1314,6 @@ class FastEngine(PackedEngineBase):
         self._apsp: Optional[np.ndarray] = None
         self._apsp_done: Optional[np.ndarray] = None
 
-    # Backwards-compatible alias used by tests and by ISLabelIndex.
-    @classmethod
-    def from_entry_lists(
-        cls, gk: Graph, labels: Dict[int, List[Tuple[int, int]]]
-    ) -> "FastEngine":
-        """Build the engine from the canonical list-of-tuples labels."""
-        return cls(gk, labels)
-
     # ------------------------------------------------------------------
     # Freezing: CSR view, packed labels, seed extraction (first use)
     # ------------------------------------------------------------------
@@ -1322,10 +1350,6 @@ class FastEngine(PackedEngineBase):
     @property
     def labels(self) -> Dict[int, ArrayLabel]:
         return self.table.labels if self.table is not None else {}
-
-    @property
-    def _seed_ids(self) -> Dict[int, List[int]]:
-        return self.table.seed_ids if self.table is not None else {}
 
     def _forget_packed(self, dirty) -> None:
         """Pre-freeze invalidation: only the pre-merged arrays can be stale."""

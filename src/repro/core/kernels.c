@@ -1,7 +1,9 @@
-/* Algorithm 1's Stage 2 (label-seeded bidirectional Dijkstra over G_k)
- * for the packed engines, compiled through cffi by repro/core/kernels.py.
+/* The packed engines' query stages, compiled through cffi by
+ * repro/core/kernels.py.
  *
- * A line-for-line port of repro.core.query.csr_label_bidijkstra_reference:
+ * isl_bidijkstra is Algorithm 1's Stage 2 (label-seeded bidirectional
+ * Dijkstra over the CSR G_k), a line-for-line port of
+ * repro.core.query.csr_label_bidijkstra_reference:
  * the same stopping rule, the same mu updates on settle and on every
  * scanned edge, the same `candidate >= mu` prune and the same epoch-stamped
  * buffers.  Heap records are (int64 distance, int32 vertex) compared
@@ -10,9 +12,18 @@
  * exact duplicates, the pop order (and so every work counter) is the
  * reference's.
  *
- * No Python object is touched here: cffi releases the GIL for the call, so
- * one isl_scratch must never be shared by two threads at once.
+ * isl_table_query and isl_table_batch are the table mode of a whole query
+ * (PackedEngineBase.staged and distances, when the engine keeps the
+ * all-pairs G_k table): the Equation 1 merge, the seeds (label entries
+ * lying in G_k, as dense ids) and Theorem 4's reduction
+ * min(mu0, min (table[a,b] + d_a) + d_b), summed in float64 in numpy's
+ * order.  They read the lazily filled table but never fill it: a missing
+ * row goes back to Python.
+ *
+ * No Python object is touched here: cffi releases the GIL for every call,
+ * so one isl_scratch must never be shared by two threads at once.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -35,6 +46,9 @@ typedef struct isl_scratch {
     uint64_t *seen[2];     /* dist[x][v] is live iff seen[x][v] == epoch */
     uint64_t *done[2];     /* settled iff done[x][v] == epoch */
     isl_heap heap[2];
+    int64_t seed_cap;      /* slots in each table-mode seed buffer */
+    int64_t *seed_v[2];    /* [0] forward, [1] reverse dense seed ids */
+    double *seed_d[2];     /* their label distances, as float64 */
 } isl_scratch;
 
 isl_scratch *isl_scratch_new(void)
@@ -51,6 +65,8 @@ void isl_scratch_free(isl_scratch *s)
         free(s->seen[x]);
         free(s->done[x]);
         free(s->heap[x].items);
+        free(s->seed_v[x]);
+        free(s->seed_d[x]);
     }
     free(s);
 }
@@ -222,5 +238,199 @@ int isl_bidijkstra(
     out[3] = settled[1];
     out[4] = relaxed;
     out[5] = pushes;
+    return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * Table mode: Equation 1, seeds and the G_k table in one call
+ * ------------------------------------------------------------------- */
+
+/* Equation 1 over two labels sorted by ancestor: the least d_s + d_t over
+ * common ancestors, INT64_MAX when there is none. */
+static int64_t eq1(const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
+                   const int64_t *anc_t, const int64_t *dist_t, int64_t len_t)
+{
+    int64_t best = INT64_MAX, i = 0, j = 0;
+    while (i < len_s && j < len_t) {
+        if (anc_s[i] < anc_t[j]) {
+            i++;
+        } else if (anc_s[i] > anc_t[j]) {
+            j++;
+        } else {
+            const int64_t sum = dist_s[i++] + dist_t[j++];
+            if (sum < best)
+                best = sum;
+        }
+    }
+    return best;
+}
+
+/* The label's entries whose ancestor lies in G_k: dense id = rank in the
+ * sorted ids[0..n), the rule the engines' freeze applies, so the seeds
+ * and their order are the pre-extracted ones.  Returns their count. */
+static int64_t seeds_of(const int64_t *ids, int64_t n,
+                        const int64_t *anc, const int64_t *dist, int64_t len,
+                        int64_t *seed_v, double *seed_d)
+{
+    int64_t k = 0;
+    if (n == 0)
+        return 0;
+    for (int64_t i = 0; i < len; i++) {
+        /* Branch-free lower bound: the selects compile to conditional
+         * moves, so a search costs no mispredicted branches. */
+        const int64_t a = anc[i];
+        const int64_t *base = ids;
+        int64_t m = n;
+        while (m > 1) {
+            const int64_t half = m >> 1;
+            base = base[half - 1] < a ? base + half : base;
+            m -= half;
+        }
+        base += *base < a;
+        const int64_t pos = base - ids;
+        if (pos < n && ids[pos] == a) {
+            seed_v[k] = pos;
+            seed_d[k] = (double)dist[i];
+            k++;
+        }
+    }
+    return k;
+}
+
+static int reserve_seeds(isl_scratch *s, int64_t n)
+{
+    if (n <= s->seed_cap)
+        return 0;
+    for (int x = 0; x < 2; x++)
+        if (grow((void **)&s->seed_v[x], s->seed_cap, n, sizeof(int64_t), 0)
+            || grow((void **)&s->seed_d[x], s->seed_cap, n, sizeof(double), 0))
+            return -1;
+    s->seed_cap = n;
+    return 0;
+}
+
+/* Rows are filled in Python while a kernel may run on another thread:
+ * the filler writes the row, then isl_mark_done's release store sets the
+ * flag; a kernel reads a row only after an acquire load saw its flag. */
+void isl_mark_done(uint8_t *done, int64_t a)
+{
+    __atomic_store_n(&done[a], 1, __ATOMIC_RELEASE);
+}
+
+static inline int row_done(const uint8_t *done, int64_t a)
+{
+    return __atomic_load_n(&done[a], __ATOMIC_ACQUIRE);
+}
+
+/* First forward seed whose table row is not filled yet, or -1. */
+static int64_t missing_row(const uint8_t *done, const int64_t *seed_v, int64_t nf)
+{
+    for (int64_t i = 0; i < nf; i++)
+        if (!row_done(done, seed_v[i]))
+            return seed_v[i];
+    return -1;
+}
+
+/* min over seed pairs of (table[a,b] + d_a) + d_b, added in numpy's order
+ * for table[np.ix_(A, B)] + d_A[:, None] + d_B[None, :]. */
+static double reduce(const isl_scratch *s, const double *table, int64_t n,
+                     int64_t nf, int64_t nr)
+{
+    double best = INFINITY;
+    for (int64_t i = 0; i < nf; i++) {
+        const double *row = table + s->seed_v[0][i] * n;
+        const double da = s->seed_d[0][i];
+        for (int64_t j = 0; j < nr; j++) {
+            const double v = (row[s->seed_v[1][j]] + da) + s->seed_d[1][j];
+            if (v < best)
+                best = v;
+        }
+    }
+    return best;
+}
+
+/* One query.  Returns -1 when out of memory, else a status:
+ *   0  a side has no seed: the answer is Equation 1 alone, out[0];
+ *   1  searched, and the table did not beat Equation 1: the answer is out[0];
+ *   2  searched, and the table beat it: the answer is *best;
+ *   3  table row out[1] is not filled yet (fill it and call again).
+ * out[0] is Equation 1 (INT64_MAX: no common ancestor).  "Beat" compares
+ * the float64 minimum with the int64 bound exactly. */
+int isl_table_query(
+    isl_scratch *s, int64_t n,
+    const int64_t *ids, const double *table, const uint8_t *done,
+    const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
+    const int64_t *anc_t, const int64_t *dist_t, int64_t len_t,
+    int64_t *out, double *best)
+{
+    const int64_t mu0 = eq1(anc_s, dist_s, len_s, anc_t, dist_t, len_t);
+    out[0] = mu0;
+    if (reserve_seeds(s, len_s > len_t ? len_s : len_t))
+        return -1;
+    const int64_t nf = seeds_of(ids, n, anc_s, dist_s, len_s, s->seed_v[0], s->seed_d[0]);
+    if (!nf)
+        return 0;
+    const int64_t nr = seeds_of(ids, n, anc_t, dist_t, len_t, s->seed_v[1], s->seed_d[1]);
+    if (!nr)
+        return 0;
+    const int64_t row = missing_row(done, s->seed_v[0], nf);
+    if (row >= 0) {
+        out[1] = row;
+        return 3;
+    }
+    const double b = reduce(s, table, n, nf, nr);
+    *best = b;
+    /* For an integer bound, b < mu0 iff floor(b) < mu0. */
+    const int beats = mu0 == INT64_MAX
+        ? b < INFINITY
+        : b < 0x1p63 && (int64_t)floor(b) < mu0;
+    return beats ? 2 : 1;
+}
+
+/* A batch of q queries over concatenated label slices: query i reads
+ * entries ptr_s[i]..ptr_s[i+1] of anc_s/dist_s and likewise for t.
+ * out[i] = min(table answer, (double)Equation 1), or (double)Equation 1
+ * when a side has no seed (inf: no common ancestor) -- the float64
+ * answers of repro.core.fastlabels.batch_table_stage.  Every forward seed
+ * row not filled yet is written to missing[] (room for ptr_s[q] entries;
+ * repeats possible) and counted in *n_missing; when that count is nonzero
+ * out[] is incomplete and the caller fills the rows and calls again.
+ * Returns 0, or -1 when out of memory. */
+int isl_table_batch(
+    isl_scratch *s, int64_t n,
+    const int64_t *ids, const double *table, const uint8_t *done,
+    int64_t q,
+    const int64_t *ptr_s, const int64_t *anc_s, const int64_t *dist_s,
+    const int64_t *ptr_t, const int64_t *anc_t, const int64_t *dist_t,
+    double *out, int64_t *missing, int64_t *n_missing)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < q; i++) {
+        const int64_t lo_s = ptr_s[i], len_s = ptr_s[i + 1] - lo_s;
+        const int64_t lo_t = ptr_t[i], len_t = ptr_t[i + 1] - lo_t;
+        const int64_t mu0 = eq1(anc_s + lo_s, dist_s + lo_s, len_s,
+                                anc_t + lo_t, dist_t + lo_t, len_t);
+        const double bound = mu0 == INT64_MAX ? INFINITY : (double)mu0;
+        out[i] = bound;
+        if (reserve_seeds(s, len_s > len_t ? len_s : len_t))
+            return -1;
+        const int64_t nf = seeds_of(ids, n, anc_s + lo_s, dist_s + lo_s, len_s,
+                                    s->seed_v[0], s->seed_d[0]);
+        if (!nf)
+            continue;
+        const int64_t nr = seeds_of(ids, n, anc_t + lo_t, dist_t + lo_t, len_t,
+                                    s->seed_v[1], s->seed_d[1]);
+        if (!nr)
+            continue;
+        for (int64_t j = 0; j < nf; j++)
+            if (!row_done(done, s->seed_v[0][j]))
+                missing[k++] = s->seed_v[0][j];
+        if (k)  /* this batch goes round again: skip the reductions */
+            continue;
+        const double b = reduce(s, table, n, nf, nr);
+        if (b < bound)
+            out[i] = b;
+    }
+    *n_missing = k;
     return 0;
 }

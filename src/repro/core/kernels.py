@@ -1,11 +1,25 @@
-"""Compiled search kernel: Algorithm 1's Stage 2 in C, loaded through cffi.
+"""Compiled query kernels: the packed engines' stages in C, through cffi.
 
-:func:`repro.core.query.csr_label_bidijkstra` is the one dispatch point
-for the label-seeded bidirectional Dijkstra over the CSR ``G_k``.  It
-calls :func:`bidijkstra` here when the compiled module loaded
-(:data:`BACKEND` ``== "c"``) and the pure-Python
-:func:`repro.core.query.csr_label_bidijkstra_reference` otherwise; both
-return identical answers and identical :class:`SearchStats` counters.
+Two stages have a compiled form, each behind one dispatch point that
+picks it when the module loaded (:data:`BACKEND` ``== "c"``) and the
+pure-Python reference otherwise; both give identical answers.
+
+* **Table mode** (the engine keeps the all-pairs ``G_k`` table):
+  :func:`table_query` answers a whole query in one call — Equation 1 over
+  the two label slices, each side's seeds (dense ids by binary search over
+  the sorted ``G_k`` ids) and Theorem 4's table reduction — and
+  :func:`table_batch` a whole ``distances()`` batch.  The dispatch points
+  are :meth:`repro.core.fastlabels.PackedEngineBase.staged` and
+  ``distances``; the references are the engines' ``eq1`` and
+  ``search_distance`` and :func:`repro.core.fastlabels.batch_eq1` +
+  :func:`repro.core.fastlabels.batch_table_stage`.  The kernels never fill
+  the table: a missing row goes back to the engine's row filler, which
+  publishes it with :func:`mark_row_done`.
+* **CSR mode** (no table): :func:`bidijkstra` is Algorithm 1's
+  label-seeded bidirectional Dijkstra, dispatched from
+  :func:`repro.core.query.csr_label_bidijkstra`, with
+  :func:`repro.core.query.csr_label_bidijkstra_reference` as the oracle;
+  it returns identical :class:`SearchStats` counters too.
 
 The C source (``kernels.c``, next to this file) is compiled with cffi in
 API mode the first time this module is imported — which happens at import
@@ -20,27 +34,38 @@ see a half-written module, and nothing is written to the system temp
 directory.  Without cffi, a C compiler or a writable cache directory, the
 module loads with ``BACKEND == "python"`` and :data:`LOAD_ERROR` says why.
 
-The call releases the GIL.  Its scratch (distance maps, epoch stamps and
-the two heaps, grown on demand in C) hangs off the caller's
+Every call releases the GIL.  The native scratch (the search's distance
+maps, epoch stamps and heaps, the table stage's seed buffers, grown on
+demand in C) hangs off the caller's
 :class:`repro.core.fastlabels.LabelArrayPool`, which the packed engines
-keep one per thread, so two threads never search in one scratch set.
+keep one per thread, so two threads never share one scratch set.  Arrays
+are validated here, before any pointer reaches C.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import shutil
 import subprocess
 import sys
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["BACKEND", "LOAD_ERROR", "bidijkstra", "load"]
+__all__ = [
+    "BACKEND",
+    "LOAD_ERROR",
+    "bidijkstra",
+    "load",
+    "mark_row_done",
+    "table_batch",
+    "table_query",
+]
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 _CACHE_DIR = Path(__file__).with_name("_kernel_cache")
@@ -56,6 +81,20 @@ int isl_bidijkstra(
     const int64_t *seed_fv, const int64_t *seed_fd, int64_t n_seed_f,
     const int64_t *seed_rv, const int64_t *seed_rd, int64_t n_seed_r,
     int64_t initial_mu, int64_t *out);
+int isl_table_query(
+    isl_scratch *s, int64_t n,
+    const int64_t *ids, const double *table, const uint8_t *done,
+    const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
+    const int64_t *anc_t, const int64_t *dist_t, int64_t len_t,
+    int64_t *out, double *best);
+int isl_table_batch(
+    isl_scratch *s, int64_t n,
+    const int64_t *ids, const double *table, const uint8_t *done,
+    int64_t q,
+    const int64_t *ptr_s, const int64_t *anc_s, const int64_t *dist_s,
+    const int64_t *ptr_t, const int64_t *anc_t, const int64_t *dist_t,
+    double *out, int64_t *missing, int64_t *n_missing);
+void isl_mark_done(uint8_t *done, int64_t a);
 """
 # -pipe keeps gcc's intermediate files out of the temp directory.
 _CFLAGS = ["-O2", "-pipe"]
@@ -81,8 +120,12 @@ LOAD_ERROR: Optional[str] = None
 _ffi = None
 _lib = None
 
-#: ``initial_mu`` meaning "no bound" on the C side.
+#: ``initial_mu`` meaning "no bound" on the C side (and Equation 1's
+#: "no common ancestor" coming back from the table kernels).
 _NO_BOUND = np.iinfo(np.int64).max
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_I64 = np.dtype(np.int64)
 
 
 def _module_name() -> str:
@@ -139,10 +182,11 @@ def load() -> str:
 
 
 class _Scratch:
-    """One thread's C search state: the native scratch plus the last int64
-    CSR arrays it validated (re-checked only when the arrays change)."""
+    """One thread's C state: the native scratch, plus the last CSR arrays
+    and the last ``G_k`` table it validated (each re-checked only when the
+    arrays change), plus the table query's result cells."""
 
-    __slots__ = ("ptr", "csr_key", "csr_ptrs")
+    __slots__ = ("ptr", "csr_key", "csr_ptrs", "table_key", "table_ptrs", "out", "best")
 
     def __init__(self) -> None:
         ptr = _lib.isl_scratch_new()
@@ -151,6 +195,57 @@ class _Scratch:
         self.ptr = _ffi.gc(ptr, _lib.isl_scratch_free)
         self.csr_key: tuple = ()
         self.csr_ptrs: tuple = ()
+        self.table_key: tuple = (None, None, None)
+        self.table_ptrs: tuple = ()
+        self.out = _ffi.new("int64_t[2]")
+        self.best = _ffi.new("double[1]")
+
+    @classmethod
+    def of(cls, pool) -> "_Scratch":
+        """The pool's scratch, created on its first compiled call."""
+        scratch = pool.kernel
+        if scratch is None:
+            scratch = pool.kernel = cls()
+        return scratch
+
+    def table(self, ids, table, done) -> tuple:
+        """``(n, ids, table, done)`` C pointers for the table stage,
+        validated once per array set.
+
+        Keyed by array identity, so an engine that swaps in a new table
+        (a §8.3 repair grows it) is re-validated on its next query; the
+        key holds the arrays, so the pointers never outlive them.
+        """
+        cached = self.table_key
+        if ids is cached[0] and table is cached[1] and done is cached[2]:
+            return self.table_ptrs
+        checked = _int64(ids)
+        n = len(checked)
+        if checked.ndim != 1 or (n > 1 and np.any(np.diff(checked) <= 0)):
+            raise ValueError("G_k ids must be a strictly increasing int64 vector")
+        if not (
+            isinstance(table, np.ndarray)
+            and table.dtype == np.float64
+            and table.shape == (n, n)
+            and table.flags.c_contiguous
+        ):
+            raise ValueError(f"the G_k table must be a C-contiguous float64 {n}x{n} array")
+        if not (
+            isinstance(done, np.ndarray)
+            and done.dtype == np.bool_
+            and done.shape == (n,)
+            and done.flags.c_contiguous
+        ):
+            raise ValueError(f"the table's row flags must be a contiguous bool vector of {n}")
+        ptrs = (
+            n,
+            _ffi.from_buffer("int64_t[]", checked),
+            _ffi.from_buffer("double[]", table),
+            _ffi.from_buffer("uint8_t[]", done),
+        )
+        if checked is ids:
+            self.table_key, self.table_ptrs = (ids, table, done), ptrs
+        return ptrs
 
     def csr(self, arrays: tuple, n: int) -> tuple:
         """C pointers to the six CSR arrays, validated once per array set."""
@@ -220,9 +315,7 @@ def bidijkstra(
         raise ValueError(f"G_k size {n} outside the kernel's int32 vertex ids")
     if indptr_r is None:
         indptr_r, indices_r, weights_r = indptr, indices, weights
-    scratch = pool.kernel
-    if scratch is None:
-        scratch = pool.kernel = _Scratch()
+    scratch = _Scratch.of(pool)
     csr = scratch.csr((indptr, indices, weights, indptr_r, indices_r, weights_r), n)
     # Integral ceiling (exact for int types): for integer path lengths,
     # ``x < mu`` and ``x < ceil(mu)`` agree.
@@ -243,6 +336,113 @@ def bidijkstra(
         raise MemoryError("search kernel ran out of memory")
     meet = out[1]
     return (initial_mu if meet < 0 else out[0]), meet, (out[2], out[3], out[4], out[5])
+
+
+def _vector(a) -> np.ndarray:
+    """``a`` itself when it is an int64 ndarray (the engines' labels always
+    are), else an int64 copy; cheaper than :func:`_int64`.  A strided view
+    passes, and ``ffi.from_buffer`` then rejects it with ``ValueError``."""
+    return a if type(a) is np.ndarray and a.dtype is _I64 else _int64(a)
+
+
+def _label_ptrs(label):
+    anc, dist = _vector(label[0]), _vector(label[1])
+    if len(anc) != len(dist):
+        raise ValueError("label ancestors and distances differ in length")
+    return _ffi.from_buffer("int64_t[]", anc), _ffi.from_buffer("int64_t[]", dist), len(anc)
+
+
+def table_query(label_s, label_t, ids, table, done, fill_row, pool) -> Tuple[float, bool]:
+    """One query of a table-mode engine in one compiled call.
+
+    ``label_s``/``label_t`` are the two ``(ancestors, dists)`` labels,
+    ``ids`` the sorted ``G_k`` vertex ids (dense id = rank), ``table`` the
+    lazily filled all-pairs float64 ``G_k`` table and ``done`` its filled
+    rows.  Returns ``(distance, used_search)`` exactly as
+    :meth:`repro.core.fastlabels.PackedEngineBase.staged` does on the
+    reference path (Equation 1, then :meth:`search_distance` when both
+    sides have seeds).  A row the query needs that is not filled yet goes
+    to ``fill_row(dense_id)`` (which must set ``done``), then the call
+    runs again.
+    """
+    scratch = _Scratch.of(pool)
+    n, ids_p, table_p, done_p = scratch.table(ids, table, done)
+    labels = (*_label_ptrs(label_s), *_label_ptrs(label_t))
+    out, best = scratch.out, scratch.best
+    while True:
+        status = _lib.isl_table_query(
+            scratch.ptr, n, ids_p, table_p, done_p, *labels, out, best
+        )
+        if status != 3:
+            break
+        fill_row(out[1])
+    if status < 0:
+        raise MemoryError("table kernel ran out of memory")
+    if status == 2:
+        return int(best[0]), True
+    mu0 = out[0]
+    return (math.inf if mu0 == _NO_BOUND else mu0), status == 1
+
+
+def mark_row_done(done: np.ndarray, a: int) -> None:
+    """Set ``done[a]`` once table row ``a`` is written.
+
+    With the compiled module this is a release store, which the table
+    kernels (running without the GIL on other threads) pair with acquire
+    loads, so they never read a row before its values.
+    """
+    if BACKEND != "c":
+        done[a] = True
+        return
+    if not (done.dtype == np.bool_ and done.ndim == 1 and 0 <= a < len(done)):
+        raise ValueError(f"row {a} outside the table's bool row flags")
+    _lib.isl_mark_done(_ffi.from_buffer("uint8_t[]", done, require_writable=True), a)
+
+
+def _concat(labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, ancestors, dists)`` of a list of labels laid end to end."""
+    ancs = [lab[0] for lab in labels]
+    dists = [lab[1] for lab in labels]
+    lengths = list(map(len, ancs))
+    if lengths != list(map(len, dists)):
+        raise ValueError("label ancestors and distances differ in length")
+    indptr = np.zeros(len(ancs) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    if not ancs:
+        return indptr, _EMPTY, _EMPTY
+    return indptr, _int64(np.concatenate(ancs)), _int64(np.concatenate(dists))
+
+
+def table_batch(labels_s, labels_t, ids, table, done, fill_row, pool) -> List[float]:
+    """:func:`table_query` for a batch of queries, in one compiled call.
+
+    Answers are :func:`repro.core.fastlabels.batch_table_stage`'s over
+    :func:`repro.core.fastlabels.batch_eq1`'s bounds.  The call reports
+    every missing row at once; they are filled in ascending order and the
+    batch runs again.
+    """
+    if len(labels_s) != len(labels_t):
+        raise ValueError("source and target label lists differ in length")
+    scratch = _Scratch.of(pool)
+    n, ids_p, table_p, done_p = scratch.table(ids, table, done)
+    ptr_s, anc_s, dist_s = _concat(labels_s)
+    ptr_t, anc_t, dist_t = _concat(labels_t)
+    out = np.empty(len(labels_s))
+    missing = np.empty(len(anc_s), dtype=np.int64)
+    n_missing = _ffi.new("int64_t *")
+    args = [
+        _ffi.from_buffer("int64_t[]", a) for a in (ptr_s, anc_s, dist_s, ptr_t, anc_t, dist_t)
+    ]
+    args += [_ffi.from_buffer("double[]", out), _ffi.from_buffer("int64_t[]", missing), n_missing]
+    while True:
+        status = _lib.isl_table_batch(scratch.ptr, n, ids_p, table_p, done_p, len(out), *args)
+        if status:
+            raise MemoryError("table kernel ran out of memory")
+        if not n_missing[0]:
+            break
+        for a in np.unique(missing[: n_missing[0]]).tolist():
+            fill_row(a)
+    return [int(d) if d != math.inf else d for d in out.tolist()]
 
 
 load()

@@ -7,8 +7,8 @@ sharded serving engine (:mod:`repro.core.snapshot`) splits the label
 arrays into contiguous vertex-id-range shard files; a batch whose pairs
 all land in one ``(source shard, target shard)`` bucket touches exactly
 two shard files, reuses the same lazily-mapped pages, fills adjacent
-all-pairs table rows, and amortizes the engine's vectorized
-``batch_eq1``/``batch_table_stage`` passes over the whole bucket.  A
+all-pairs table rows, and amortizes the engine's one compiled batch
+call (or its vectorized ``batch_eq1`` pass) over the whole bucket.  A
 naive per-query loop pays every one of those costs per call.
 
 :class:`ShardScheduler` is that routing layer.  It consumes ``(s, t)``

@@ -1,14 +1,22 @@
-"""The compiled search kernel against the pure-Python reference.
+"""The compiled kernels against the pure-Python reference.
 
 ``csr_label_bidijkstra`` dispatches to :mod:`repro.core.kernels` when the
 C module loaded; ``csr_label_bidijkstra_reference`` stays the oracle.  The
 two must agree on the distance, the meeting vertex and every
 :class:`SearchStats` counter, since both pop the same ``(d, v)`` keys in
 the same order.
+
+A table-mode engine answers a whole query (Equation 1, the seeds and the
+``G_k`` table reduction) in one compiled call, and a batch in another;
+with ``kernels.BACKEND == "python"`` it runs the reference bodies
+(``eq1``, ``search_distance``, ``batch_eq1``, ``batch_table_stage``).
+Both must give the same answers, the same ``used_search`` flags and the
+same ``query()`` fields.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import subprocess
 import sys
@@ -21,10 +29,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, query
-from repro.core.fastlabels import APSP_BUDGET_ENV, FastEngine, LabelArrayPool
+from repro.core.directed import DirectedISLabelIndex
+from repro.core.engines import DIRECTED, UNDIRECTED, resolve_engine
+from repro.core.fastlabels import (
+    _TABLE_FLAT_CAP,
+    APSP_BUDGET_ENV,
+    FastEngine,
+    LabelArrayPool,
+)
 from repro.core.index import ISLabelIndex
 from repro.core.query import csr_label_bidijkstra, csr_label_bidijkstra_reference
+from repro.core.updates import DynamicISLabelIndex
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_graph
+from repro.graph.graph import Graph
 
 from tests.conftest import random_pairs
 
@@ -141,6 +159,173 @@ class TestDifferential:
             csr_label_bidijkstra(indptr[:-1], indices, weights, ([0], [0]), ([1], [0]), pool, 2)
 
 
+@contextlib.contextmanager
+def _backend(name):
+    """Answer on one backend; the loaded one is restored afterwards."""
+    saved = kernels.BACKEND
+    kernels.BACKEND = name
+    try:
+        yield
+    finally:
+        kernels.BACKEND = saved
+
+
+def _graph(directed, n, arcs):
+    graph = DiGraph() if directed else Graph()
+    for v in range(n):
+        graph.add_vertex(v)
+    for u, v, w in arcs:
+        if directed:
+            graph.add_edge(u, v, w)
+        else:
+            graph.merge_edge(u, v, w)
+    return graph
+
+
+@st.composite
+def table_cases(draw):
+    """A small graph, possibly disconnected, and how to serve it."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 14))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(st.integers(1, 12), st.integers(1, 2**40))
+    arcs = draw(
+        st.lists(
+            st.tuples(vertex, vertex, weight).filter(lambda arc: arc[0] != arc[1]),
+            max_size=3 * n,
+        )
+    )
+    return {
+        "graph": _graph(directed, n, arcs),
+        "k": draw(st.sampled_from([None, 2, 3])),
+        "engine": draw(st.sampled_from(["fast", "mmap"])),
+        # Engine built without the G_k vertices' own labels: their
+        # endpoints fall back to the implicit ``([v], [0])`` label.
+        "bare": draw(st.booleans()),
+        "singles_first": draw(st.booleans()),
+    }
+
+
+def _serve(case):
+    """``(index or None, engine)`` for one case, with a cold table."""
+    graph = case["graph"]
+    directed = isinstance(graph, DiGraph)
+    cls = DirectedISLabelIndex if directed else ISLabelIndex
+    index = cls.build(graph, k=case["k"], engine=case["engine"])
+    if not case["bare"]:
+        return index, index._fast
+    gk = index.gk
+    tables = (index._out_labels, index._in_labels) if directed else (index._labels,)
+    lists = [{v: e for v, e in table.items() if not gk.has_vertex(v)} for table in tables]
+    factory = resolve_engine(DIRECTED if directed else UNDIRECTED, case["engine"])
+    return None, factory(gk, *lists)
+
+
+def _report(index, engine, pairs, singles_first):
+    """Everything the engine and its index report for ``pairs``."""
+
+    def singles():
+        return [(d, type(d), used, stats) for d, used, stats in map(engine.staged, *zip(*pairs))]
+
+    def batch():
+        return [(d, type(d)) for d in engine.distances(pairs)]
+
+    got = {}
+    for name, run in (("singles", singles), ("batch", batch))[:: 1 if singles_first else -1]:
+        got[name] = run()
+    if isinstance(index, ISLabelIndex):
+        got["query"] = [
+            (r.distance, type(r.distance), r.query_type, r.used_bidijkstra, r.label_ios, r.search)
+            for r in (index.query(s, t) for s, t in pairs)
+        ]
+    elif index is not None:
+        got["distance"] = [index.distance(s, t) for s, t in pairs]
+    return got
+
+
+def _compare_backends(case, pairs):
+    """Reference answers vs the compiled path's, each on a cold table."""
+    served = [_serve(case), _serve(case)]
+    try:
+        with _backend("python"):
+            want = _report(*served[0], pairs, case["singles_first"])
+        got = _report(*served[1], pairs, case["singles_first"])
+    finally:
+        for _, engine in served:
+            if hasattr(engine, "close"):
+                engine.close()
+    assert got == want
+    # distances() and the staged singles agree (float64-exact here).
+    assert got["batch"] == [single[:2] for single in got["singles"]]
+    return served[1][1]
+
+
+@compiled
+class TestTableStage:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(table_cases())
+    def test_compiled_table_matches_reference(self, case):
+        n = case["graph"].num_vertices
+        _compare_backends(case, [(s, t) for s in range(n) for t in range(n)])
+
+    def test_inputs_are_validated_before_native_code(self):
+        ids = np.array([2, 5, 9], dtype=np.int64)
+        table = np.zeros((3, 3))
+        done = np.ones(3, dtype=bool)
+        label = (np.array([2, 5], dtype=np.int64), np.array([0, 1], dtype=np.int64))
+
+        def fill_row(a):
+            raise AssertionError(f"row {a} is already filled")
+
+        def both(label_s, label_t, table, done):
+            for call in (
+                lambda: kernels.table_query(label_s, label_t, ids, table, done, fill_row, LabelArrayPool()),
+                lambda: kernels.table_batch([label_s], [label_t], ids, table, done, fill_row, LabelArrayPool()),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+
+        assert kernels.table_query(label, label, ids, table, done, fill_row, LabelArrayPool()) == (0, True)
+        for bad_table in (
+            table.astype(np.float32),
+            np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+            np.zeros((3, 4)),
+            np.zeros(9),
+            table.tolist(),
+        ):
+            both(label, label, bad_table, done)
+        for bad_done in (done[:2], done.astype(np.uint8), np.ones(4, dtype=bool), done.tolist()):
+            both(label, label, table, bad_done)
+        short = (label[0], label[1][:1])
+        both(short, label, table, done)
+        both(label, short, table, done)
+
+
+def _seedy_case(directed, engine):
+    """Vertices 100 and 101 each see every vertex of a 70-clique G_k."""
+    arcs = []
+    for i in range(70):
+        for j in range(i + 1, 70):
+            arcs.append((i, j, (i * 7 + j) % 11 + 1))
+            if directed:
+                arcs.append((j, i, (i * 5 + j) % 13 + 1))
+        arcs.append((100, i, i % 5 + 1))
+        arcs.append((i, 101, i % 3 + 1))
+    graph = _graph(directed, 0, arcs)
+    return {"graph": graph, "k": 2, "engine": engine, "bare": False, "singles_first": False}
+
+
+@pytest.mark.parametrize("engine", ["fast", "mmap"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_seed_pairs_beyond_the_flat_cap(directed, engine):
+    """A batch holding a pair past ``_TABLE_FLAT_CAP`` seed pairs, which the
+    reference answers on its own, agrees with the singles on both backends."""
+    pairs = [(100, 101), (101, 100), (100, 3), (7, 101), (4, 9), (100, 100)]
+    served = _compare_backends(_seedy_case(directed, engine), pairs)
+    assert served.has_apsp
+    assert len(served._seeds_f_np(100)[0]) * len(served._seeds_r_np(101)[0]) > _TABLE_FLAT_CAP
+
+
 class TestLoader:
     @compiled
     def test_build_publishes_atomically_outside_tempdir(self, tmp_path, monkeypatch):
@@ -157,13 +342,21 @@ class TestLoader:
         assert list(spill.iterdir()) == []
 
     def test_unavailable_module_falls_back_to_reference(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(APSP_BUDGET_ENV, "0")  # CSR search stage
         g = grid_graph(8, 8, seed=1, max_weight=5)
+        pairs = random_pairs(g, 40, seed=5)
+        tabled = ISLabelIndex.build(g)
+        assert tabled.search_mode == "apsp"
+        table_fields = lambda: [
+            (r.distance, r.used_bidijkstra, r.search)
+            for r in (tabled.query(s, t) for s, t in pairs)
+        ]
+        want_table = tabled._fast.distances(pairs)
+        want_table_query = table_fields()
+        monkeypatch.setenv(APSP_BUDGET_ENV, "0")  # CSR search stage
         index = ISLabelIndex.build(g)
         engine = index._fast
         engine.freeze()
         assert index.search_mode == "csr"
-        pairs = random_pairs(g, 40, seed=5)
         want = engine.distances(pairs)
         want_query = [index.query(s, t).search for s, t in pairs]
         assert any(stats is not None for stats in want_query)  # CSR stats reported
@@ -191,19 +384,18 @@ class TestLoader:
         assert [index.query(s, t).search for s, t in pairs] == want_query
         assert calls
 
+        def unreachable(*args):
+            raise AssertionError("the table kernels ran without the compiled module")
 
-def test_threads_share_one_engine_bit_exactly():
-    """Eight threads query one CSR-mode engine; each has its own scratch."""
-    g = grid_graph(14, 14, seed=3, max_weight=9)
-    index = ISLabelIndex.build(g)
-    engine = FastEngine(
-        index.gk, {v: index.label(v) for v in g.vertices()}, apsp_budget_bytes=0
-    )
-    engine.freeze()
-    assert not engine.has_apsp
-    pairs = random_pairs(g, 120, seed=11)
-    want = engine.distances(pairs)
-    want_single = [engine.distance(s, t) for s, t in pairs]
+        monkeypatch.setattr(kernels, "table_query", unreachable)
+        monkeypatch.setattr(kernels, "table_batch", unreachable)
+        assert tabled._fast.distances(pairs) == want_table
+        assert table_fields() == want_table_query
+
+
+def _race(engine, pairs, want, want_single):
+    """Eight threads query ``engine`` (each from a different start) three
+    times over; every answer must equal the single-threaded ones."""
     results = {}
 
     def reader(k):
@@ -228,3 +420,43 @@ def test_threads_share_one_engine_bit_exactly():
         rotated = want[k:] + want[:k]
         rotated_single = want_single[k:] + want_single[:k]
         assert results[k] == [(rotated, rotated_single)] * 3
+
+
+def test_threads_share_one_engine_bit_exactly():
+    """Eight threads query one CSR-mode engine; each has its own scratch."""
+    g = grid_graph(14, 14, seed=3, max_weight=9)
+    index = ISLabelIndex.build(g)
+    engine = FastEngine(
+        index.gk, {v: index.label(v) for v in g.vertices()}, apsp_budget_bytes=0
+    )
+    engine.freeze()
+    assert not engine.has_apsp
+    pairs = random_pairs(g, 120, seed=11)
+    want = engine.distances(pairs)
+    want_single = [engine.distance(s, t) for s, t in pairs]
+    _race(engine, pairs, want, want_single)
+
+
+def test_threads_fill_one_table_bit_exactly():
+    """Eight threads share a table-mode engine whose table starts empty, so
+    lazy row fills race the GIL-free table kernel; a §8.3 insert between
+    the two waves swaps in a grown table, which each thread's cached
+    pointers must follow."""
+    g = grid_graph(12, 12, seed=3, max_weight=9)
+    served = DynamicISLabelIndex(g, engine="fast")
+    twin = DynamicISLabelIndex(g, engine="fast")  # answers on one thread
+    engine, reference = served.index._fast, twin.index._fast
+    engine.freeze()
+    assert engine.has_apsp and not engine._apsp_done.any()
+    pairs = random_pairs(g, 120, seed=11)
+    fresh = max(g.vertices()) + 1
+    for wave in range(2):
+        if wave:
+            table = engine._apsp
+            for dyn in (served, twin):
+                dyn.insert_vertex(fresh, {0: 2, 77: 3, 143: 1})
+            assert engine.frozen and engine._apsp is not table
+            pairs = pairs + [(fresh, t) for _, t in pairs[:20]]
+        want = reference.distances(pairs)
+        want_single = [reference.distance(s, t) for s, t in pairs]
+        _race(engine, pairs, want, want_single)
