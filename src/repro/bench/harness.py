@@ -36,8 +36,7 @@ DEFAULT_QUERY_COUNT = 1000
 def process_rss_kib() -> Tuple[Optional[int], Optional[int]]:
     """``(VmRSS, RssAnon)`` of this process in KiB (Linux), else Nones.
 
-    The shared measurement behind ``repro serve-bench`` and
-    ``benchmarks/bench_snapshot_serving.py``.  ``RssAnon`` is the honest
+    The measurement behind ``repro serve-bench``.  ``RssAnon`` is the honest
     per-worker cost of a served index: mmap-backed label pages are
     file-backed and shared through the page cache, so they inflate
     ``VmRSS`` without costing extra memory, while a stream-loaded index

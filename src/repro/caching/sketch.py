@@ -22,7 +22,7 @@ instead of ``O(|label|)``, with a bounded, one-sided error contract:
   sketch merge *is* the full Equation 1 merge and no ``G_k`` search
   stage could improve it.  The ``exact_known`` counter tracks this; the
   *observed* exactness fraction (how often the bound happened to equal
-  the truth anyway) is measured empirically by ``bench_hotcache``.
+  the truth anyway) depends on the graph and is not guaranteed.
 
 Sketches are materialized from the label entry lists in one vectorized
 pass — concatenate every label, look levels up with one

@@ -837,8 +837,8 @@ class PackedEngineBase:
     #: dirty labels (with an :data:`_INCREMENTAL_MIN_DIRTY` floor) an
     #: incremental invalidation re-packs enough of the index that one full
     #: re-freeze is cheaper.  Instances expose ``incremental_max_fraction``
-    #: so dynamic workloads (and the benchmarks' forced-full ablation,
-    #: which sets it to ``0``) can tune the tradeoff.
+    #: so dynamic workloads (and the tests' forced-full twin, which sets
+    #: it to ``0``) can tune the tradeoff.
     INCREMENTAL_MAX_FRACTION = 0.25
 
     @property

@@ -5,8 +5,9 @@ Zipf/uniform pair skew, open-loop Poisson/burst arrival schedules,
 read/write mixes replaying §8.3 update waves, and multi-tenant fleets —
 declared as a :class:`~repro.loadgen.scenario.Scenario`, executed by the
 drivers, summarized by one shared percentile implementation.  The CLI
-(``repro loadgen``) and the serving benchmarks are both thin layers over
-this package, so every published number comes from the same code path.
+(``repro loadgen``) and the benchmark suite (``benchmarks/suite/``) are
+both thin layers over this package, so every published number comes
+from the same code path.
 """
 
 from repro.loadgen.drivers import run_closed_loop, run_open_loop, run_scenario

@@ -9,7 +9,7 @@ One driver pair serves every perf claim in the repo:
   measured from the *scheduled* arrival, so a backlog shows up as
   queueing delay in the tail percentiles.
 
-:func:`run_scenario` is the entry point the CLI and the benchmarks use:
+:func:`run_scenario` is the entry point the CLI and the tests use:
 it materializes the scenario's graph, builds a ``"fast"`` oracle for
 expected answers, stands up the target — any registered local engine, or
 a live ``"remote"`` fleet spawned through
@@ -60,7 +60,8 @@ __all__ = [
 ]
 
 #: Admission knobs for fleet workers spawned by :func:`run_scenario` —
-#: matches the serving benchmarks (2 executor slots, bounded queue).
+#: the benchmark suite's web-fleet workers use the same (2 executor
+#: slots, bounded queue).
 FLEET_SERVE_ARGS = ("--max-concurrency", "2", "--max-queue", "256")
 
 #: Thread pool width for open-loop firing (bounds client-side overlap,

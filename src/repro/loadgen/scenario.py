@@ -184,9 +184,9 @@ class Scenario:
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
 
-#: Named scenarios — the vocabulary ``repro loadgen`` and the benchmarks
-#: share.  ``smoke`` must stay tiny: CI runs it against both a local
-#: engine and a live two-worker fleet under a timeout.
+#: Named scenarios — the vocabulary of ``repro loadgen``.  ``smoke`` must
+#: stay tiny: CI runs it against both a local engine and a live
+#: two-worker fleet under a timeout.
 SCENARIOS: Dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (

@@ -9,8 +9,8 @@ The serving subsystem turns the on-disk sharding of
   latency);
 * :mod:`repro.serving.wire` — the length-prefixed JSON frame protocol
   (optional per-connection timeouts via ``REPRO_WIRE_TIMEOUT_S``), plus
-  :class:`PipelinedConnection`, the request-id channel that keeps many
-  requests in flight per socket (protocol v2);
+  :class:`PipelinedConnection`, the client channel that keeps many
+  requests in flight per socket and matches answers by request id;
 * :mod:`repro.serving.membership` — versioned cluster membership
   (epoch-stamped shard→owners map), worker health states and the
   retry/backoff policy of replica-aware dispatch;
@@ -22,7 +22,7 @@ The serving subsystem turns the on-disk sharding of
   surviving replicas on worker death;
 * :mod:`repro.serving.chaos` — the failure-injection harness (fleet
   subprocess control + a frame-corrupting TCP proxy) behind the chaos
-  property suite and the failover benchmark.
+  property suite.
 
 Importing this package registers the remote engine.
 :mod:`repro.serving.server` is intentionally *not* imported here — it

@@ -1,7 +1,7 @@
 """Failure injection for shard fleets: process faults and wire faults.
 
-The chaos property suite (``tests/serving/test_chaos.py``) and the
-failover benchmark (``benchmarks/bench_failover.py``) both need the same
+The chaos property suite (``tests/serving/test_chaos.py``), the
+pipelining tests and the load generator's fleet target all need the same
 two instruments, so they live here as a reusable subsystem:
 
 * :class:`FleetWorker` / :class:`FaultInjector` — real ``repro serve``
@@ -358,8 +358,8 @@ class ChaosProxy:
         *without* holding up later chunks — a long but uncongested link
         (propagation delay).  In-flight responses overlap the way they
         do over a real network, which is exactly the cost pipelining is
-        designed to hide; ``bench_async_serving.py`` gates its speedup
-        over this mode.  Don't toggle it off mid-connection: once a
+        designed to hide (``tests/serving/test_async_serving.py`` checks
+        that it does).  Don't toggle it off mid-connection: once a
         connection has queued delayed chunks, later chunks keep routing
         through the queue to preserve byte order.
     ``"truncate"``

@@ -36,7 +36,7 @@ and reroutes.  When every candidate is exhausted the engine attempts to
 bucket loudly with :class:`~repro.errors.StorageError` — answers are
 exact or the call errors, never silently wrong.  Each survived failover
 is recorded in :attr:`RemoteEngineBase.failovers` (bucket, retries,
-recovery seconds) for the benchmark harness.
+recovery seconds).
 
 An optional background **heartbeat** thread (``heartbeat_s`` argument or
 ``REPRO_REMOTE_HEARTBEAT_S``; default off) rides the ``ping`` op to mark
@@ -143,16 +143,13 @@ class _Worker:
     callers send on their own threads and one reader thread per worker
     resolves the answers, so every dispatch thread (and the heartbeat)
     can have requests in flight on the same socket concurrently — the
-    channel matches responses to futures by request id.  ``lock`` only guards
-    (re)connection now, not round trips.  Against a v1 peer (no
-    ``version`` in ``hello``) the channel caps itself to one in-flight
-    request so FIFO matching stays sound.
+    channel matches responses to futures by request id.  ``lock`` only
+    guards (re)connection, not round trips.
     """
 
     __slots__ = (
         "address",
         "timeout",
-        "pipelined",
         "max_in_flight",
         "chan",
         "kind",
@@ -169,12 +166,10 @@ class _Worker:
         address: Tuple[str, int],
         timeout: float,
         *,
-        pipelined: bool = True,
         max_in_flight: Optional[int] = None,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.timeout = timeout
-        self.pipelined = bool(pipelined)
         self.max_in_flight = (
             DEFAULT_MAX_IN_FLIGHT if max_in_flight is None else int(max_in_flight)
         )
@@ -201,7 +196,12 @@ class _Worker:
     # Connection lifecycle
     # ------------------------------------------------------------------
     def connect(self) -> None:
-        """(Re)dial and handshake; raises :class:`StorageError` on failure."""
+        """(Re)dial and handshake; raises :class:`StorageError` on failure.
+
+        Every failure is a :class:`StorageError` — a refused dial, a peer
+        that hangs up or garbles the ``hello``, or a rejected handshake —
+        so callers treat all of them alike as "this worker is down".
+        """
         self.close()
         try:
             sock = socket.create_connection(self.address, timeout=self.timeout)
@@ -218,26 +218,26 @@ class _Worker:
         except ValueError:
             pass
         try:
-            # The handshake runs plain request/response — nothing else is
-            # in flight yet, and we need the peer's protocol version to
-            # know whether pipelining is safe before the channel exists.
+            # The handshake runs plain request/response: nothing else is
+            # in flight yet, and the channel's reader starts after it.
             hello = wire.request(sock, {"op": "hello"})
-        except BaseException:
+        except BaseException as exc:
             try:
                 sock.close()
             except OSError:
                 pass
+            if isinstance(exc, wire.WireError):
+                raise StorageError(
+                    f"handshake with shard worker {self.id} failed ({exc})"
+                ) from None
             raise
         if "error" in hello:
             sock.close()
             raise StorageError(
                 f"worker {self.id} rejected the handshake: {hello['error']}"
             )
-        version = int(hello.get("version", 1))
         self.chan = wire.PipelinedConnection(
-            sock,
-            max_in_flight=self.max_in_flight,
-            pipelined=self.pipelined and version >= wire.PROTOCOL_VERSION,
+            sock, max_in_flight=self.max_in_flight
         )
         self.apply_hello(hello)
 
@@ -323,7 +323,6 @@ class RemoteEngineBase:
         timeout: float,
         retry: Optional[RetryPolicy] = None,
         heartbeat_s: Optional[float] = None,
-        pipelined: bool = True,
         max_in_flight: Optional[int] = None,
     ) -> None:
         if addresses is None:
@@ -339,18 +338,13 @@ class RemoteEngineBase:
         self.timeout = timeout
         self.retry = (retry or RetryPolicy()).validate()
         self.heartbeat_s = _heartbeat_interval(heartbeat_s)
-        #: Pipelined mode (default): per-worker channels allow many
-        #: requests in flight and the scheduler dispatches buckets
-        #: concurrently over a thread pool.  ``pipelined=False`` is the
-        #: strictly serial PR 6 behavior — one bucket at a time, one
-        #: request in flight per connection — kept as the benchmark
-        #: baseline and as an escape hatch.
-        self.pipelined = bool(pipelined)
+        #: Per-worker channel window: how many requests one connection
+        #: keeps in flight (``1`` is the strictly serial baseline).
         self.max_in_flight = _in_flight_window(max_in_flight)
         self.frozen = False
         self.scheduler: Optional[ShardScheduler] = None
         self.membership = MembershipMap()
-        #: Survived failovers, for observability and the failover bench:
+        #: Survived failovers, for observability and the chaos tests:
         #: ``{"bucket": [s_shard, t_shard], "retries": n, "recovery_s": t}``.
         self.failovers: List[dict] = []
         self._workers: List[_Worker] = []
@@ -358,6 +352,7 @@ class RemoteEngineBase:
         self._rotation: Dict[int, int] = {}
         self._starts: List[int] = []
         self._route_lock = create_lock("remote.route")
+        self._freeze_lock = create_lock("remote.freeze")
         self._rng = random.Random()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._hb_thread: Optional[threading.Thread] = None
@@ -371,17 +366,21 @@ class RemoteEngineBase:
 
         Tolerates dead workers as long as at least one connects (the dead
         ones stay in the pool for revival); a fleet where *no* worker
-        answers fails loudly.
+        answers fails loudly.  Concurrent first queries dial the fleet
+        once: the others wait for that dial instead of each dialing (and
+        leaking) a fleet of their own.
         """
         if self.frozen:
             return self
+        with self._freeze_lock:
+            if not self.frozen:
+                # Deliberate: the one fleet dial, bounded by the timeouts.
+                self._dial_fleet()  # repro-lint: disable=lock-discipline
+        return self
+
+    def _dial_fleet(self) -> None:
         workers = [
-            _Worker(
-                addr,
-                self.timeout,
-                pipelined=self.pipelined,
-                max_in_flight=self.max_in_flight,
-            )
+            _Worker(addr, self.timeout, max_in_flight=self.max_in_flight)
             for addr in self.addresses
         ]
         errors: List[str] = []
@@ -417,23 +416,21 @@ class RemoteEngineBase:
         for worker in connected:
             self.membership.set(worker.id, worker.owned)
         self._rebuild_routing()
-        if self.pipelined:
-            # One dispatch thread per potential in-flight bucket: every
-            # worker can have a few buckets in flight, and each bucket
-            # occupies one pool thread while it waits on its future.
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(32, max(4, 4 * len(workers))),
-                thread_name_prefix="repro-remote-dispatch",
-            )
+        # One dispatch thread per potential in-flight bucket: every
+        # worker can have a few buckets in flight, and each bucket
+        # occupies one pool thread while it waits on its future.
+        self._pool = ThreadPoolExecutor(
+            max_workers=min(32, max(4, 4 * len(workers))),
+            thread_name_prefix="repro-remote-dispatch",
+        )
         self.scheduler = ShardScheduler(
             self._starts,
             self._dispatch,
             self.policy,
-            dispatch_async=self._dispatch_async if self.pipelined else None,
+            dispatch_async=self._dispatch_async,
         )
         self.frozen = True
         self._start_heartbeat()
-        return self
 
     def distance(self, source: int, target: int) -> float:
         return self.distances([(source, target)])[0]
@@ -571,16 +568,25 @@ class RemoteEngineBase:
             ]
         for worker_id in discovered:
             host, sep, port = worker_id.rpartition(":")
-            if not sep:
+            if not sep or not port.isdigit():
                 continue
+            worker = _Worker(
+                (host, int(port)), self.timeout, max_in_flight=self.max_in_flight
+            )
             try:
-                worker = _Worker((host, int(port)), self.timeout)
                 worker.connect()
                 self._validate(worker)
-            except (StorageError, ValueError, OSError):
+            except (StorageError, OSError):
+                worker.close()
                 continue
             with self._route_lock:
-                self._workers.append(worker)
+                # Concurrent refreshes (one per rejected bucket) may all
+                # discover the same worker; only the first dial joins.
+                duplicate = any(w.id == worker.id for w in self._workers)
+                if not duplicate:
+                    self._workers.append(worker)
+            if duplicate:
+                worker.close()
         with self._route_lock:
             self._rebuild_routing()
 
@@ -593,7 +599,7 @@ class RemoteEngineBase:
         requests in flight at once.  Each pooled dispatch keeps the full
         replica-aware retry loop of :meth:`_dispatch` — failover is per
         in-flight request, not per batch."""
-        if self._pool is None:
+        if self._pool is None:  # closed under a running batch
             fut: "Future[List[float]]" = Future()
             try:
                 fut.set_result(self._dispatch(chunk, bucket))
@@ -785,12 +791,11 @@ class RemoteEngine(RemoteEngineBase):
         timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
         heartbeat_s: Optional[float] = None,
-        pipelined: bool = True,
         max_in_flight: Optional[int] = None,
     ) -> None:
         super().__init__(
             addresses, policy, timeout, retry, heartbeat_s,
-            pipelined=pipelined, max_in_flight=max_in_flight,
+            max_in_flight=max_in_flight,
         )
 
 
@@ -811,12 +816,11 @@ class DirectedRemoteEngine(RemoteEngineBase):
         timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
         heartbeat_s: Optional[float] = None,
-        pipelined: bool = True,
         max_in_flight: Optional[int] = None,
     ) -> None:
         super().__init__(
             addresses, policy, timeout, retry, heartbeat_s,
-            pipelined=pipelined, max_in_flight=max_in_flight,
+            max_in_flight=max_in_flight,
         )
 
 

@@ -79,9 +79,11 @@ Dispatch = Callable[[List[Tuple[int, int]], Tuple[int, int]], Sequence[float]]
 #: The pipelined dispatch seam: same arguments, but returns a
 #: :class:`concurrent.futures.Future` resolving to the answers, so the
 #: scheduler can put *every* bucket of a batch in flight before waiting
-#: on any of them.  Provided by the remote engine (a thread-pool submit
-#: over its replica-aware dispatch); optional — without it the scheduler
-#: awaits each bucket in turn, the strictly serial baseline.
+#: on any of them.  The remote engine always provides it (a thread-pool
+#: submit over its replica-aware dispatch).  Local engines
+#: (:meth:`ShardScheduler.for_engine`) have none: their buckets run one
+#: after another on the caller's thread, where there is no round trip to
+#: overlap.
 DispatchAsync = Callable[
     [List[Tuple[int, int]], Tuple[int, int]], "Future[Sequence[float]]"
 ]

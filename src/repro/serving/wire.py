@@ -9,20 +9,19 @@ default) — so remote answers stay bit-identical to local engine answers.
 
 Requests are ``{"op": <name>, ...}``; responses either carry the op's
 payload or ``{"error": <message>}``, which the client surfaces as
-:class:`~repro.errors.StorageError`.  Since protocol version 2
-(:data:`PROTOCOL_VERSION`) a request may carry an ``"id"`` that its
-response echoes, which is what lets :class:`PipelinedConnection` keep
-many requests in flight on one connection and complete them out of
-order; id-less requests keep the v1 strict request/response behavior,
-so old and new peers interoperate in both directions.  Ops:
+:class:`~repro.errors.StorageError`.  A request may carry an ``"id"``
+that its response echoes, which is what lets :class:`PipelinedConnection`
+keep many requests in flight on one connection and complete them out of
+order.  The server still answers id-less frames in strict
+request/response order, for one-shot callers of :func:`request` (the
+``hello`` handshake, the ``shutdown`` of a CLI or chaos teardown).  Ops:
 
 ``hello``
     Handshake.  The server answers with its orientation (``kind``), the
     shard layout of the snapshot it serves (``shard_starts``) and the
     shard indices it *owns* (its slice of the deployment's ownership
     map) — everything the client-side scheduler needs to route buckets —
-    plus the protocol ``version`` it speaks, which gates client-side
-    pipelining.
+    plus the protocol ``version`` it speaks.
 ``distances``
     ``{"pairs": [[s, t], ...]}`` → ``{"distances": [...]}``, one batched
     engine call per frame.  This is the unit the shard scheduler
@@ -40,7 +39,8 @@ so old and new peers interoperate in both directions.  Ops:
     rejected with the ``not_owner`` error kind).
 ``shutdown``
     Asks the server to stop accepting connections and exit its accept
-    loop (used by tests and the benchmark harness for clean teardown).
+    loop (used by tests, the CLI and the chaos harness for clean
+    teardown).
 
 Framing failures (oversized frames, EOF mid-frame) raise
 :class:`WireError`; a clean EOF between frames returns ``None`` from
@@ -64,10 +64,9 @@ import json
 import socket
 import struct
 import threading
-from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
 from repro.analysis.lockcheck import create_lock
 
@@ -93,16 +92,12 @@ __all__ = [
 #: roomy — about two million query pairs per frame.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Protocol generation, announced in the ``hello`` exchange (both ways).
-#: Version 1 (PR 5-6) is strictly request/response: one frame in flight
-#: per connection, responses in request order, no ``id`` field.  Version
-#: 2 adds **request ids**: any request may carry ``"id": <int>`` and its
-#: response echoes the same ``id``, so multiple requests can be in
-#: flight on one connection and complete out of order.  Compatibility is
-#: two-way: a v2 server answers id-less requests exactly as before (no
-#: ``id`` echoed, strict request order per request), and a v2 client
-#: talking to a peer that did not announce ``version >= 2`` caps itself
-#: at one frame in flight and matches responses FIFO.
+#: Protocol generation, announced in the server's ``hello`` answer.
+#: Version 2 is the **request-id** protocol: a request may carry
+#: ``"id": <int>`` and its response echoes the same ``id``, so multiple
+#: requests can be in flight on one connection and complete out of
+#: order.  :class:`PipelinedConnection` always tags its requests and
+#: matches answers by ``id`` alone.
 PROTOCOL_VERSION = 2
 
 _LEN = struct.Struct("!I")
@@ -246,22 +241,21 @@ def request(sock: socket.socket, payload: dict) -> dict:
 class PipelinedConnection:
     """Many requests in flight on one socket, completing out of order.
 
-    The protocol-v2 client transport: :meth:`submit` sends the frame on
-    the caller's thread under a per-connection send lock, and one
-    dedicated **reader** thread matches response frames back to their
+    The client transport: :meth:`submit` sends the frame on the
+    caller's thread under a per-connection send lock, and one dedicated
+    **reader** thread matches response frames back to their
     :class:`~concurrent.futures.Future` by the echoed request ``id``
-    (FIFO when a v1 peer echoes no id).  :meth:`submit` is the async
-    seam — it returns once the frame is on the socket — and
-    :meth:`request` is the blocking convenience over it, so many caller
-    threads can share one connection without ever holding a lock across
-    a round trip.
+    alone; a response without a known ``id`` poisons the connection.
+    :meth:`submit` is the async seam — it returns once the frame is on
+    the socket — and :meth:`request` is the blocking convenience over
+    it, so many caller threads can share one connection without ever
+    holding a lock across a round trip.
 
     **Backpressure** is a bounded in-flight window (``max_in_flight``):
     :meth:`submit` blocks while the window is full, so a slow or
     overloaded server propagates pressure to the callers instead of
-    growing an unbounded client-side queue.  ``pipelined=False`` (a v1
-    peer) shrinks the window to one frame, which degenerates to the old
-    strict request/response behavior.
+    growing an unbounded client-side queue.  ``max_in_flight=1`` is the
+    strict one-request-at-a-time baseline.
 
     **Failure** is fail-fast and total: any wire error, EOF, or an idle
     timeout *while requests are pending* poisons the connection — every
@@ -276,18 +270,15 @@ class PipelinedConnection:
         sock: socket.socket,
         *,
         max_in_flight: int = 32,
-        pipelined: bool = True,
     ) -> None:
         if max_in_flight < 1:
             raise WireError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
             )
         self._sock = sock
-        self.pipelined = bool(pipelined)
-        self.max_in_flight = max_in_flight if self.pipelined else 1
+        self.max_in_flight = max_in_flight
         self._window = threading.Semaphore(self.max_in_flight)
         self._pending: Dict[int, Future] = {}
-        self._order: Deque[int] = deque()  # FIFO fallback for id-less peers
         self._next_id = 0
         self._lock = create_lock("wire.pipeline")
         self._send_lock = create_lock("wire.send")
@@ -333,7 +324,6 @@ class PipelinedConnection:
             rid = self._next_id
             self._next_id += 1
             self._pending[rid] = future
-            self._order.append(rid)
         with self._send_lock:
             try:
                 # Deliberate: the send lock serializes exactly one frame
@@ -391,16 +381,7 @@ class PipelinedConnection:
                     return
                 rid = frame.pop("id", None)
                 with self._lock:
-                    if rid is None:
-                        key = self._order[0] if self._order else None
-                    else:
-                        key = rid
-                    future = self._pending.pop(key, None)
-                    if future is not None:
-                        try:
-                            self._order.remove(key)
-                        except ValueError:
-                            pass
+                    future = self._pending.pop(rid, None)
                 if future is None:
                     self._fail_all(
                         WireError(
@@ -425,7 +406,6 @@ class PipelinedConnection:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
-            self._order.clear()
         for future in pending:
             if not future.done():
                 future.set_exception(exc)

@@ -135,7 +135,16 @@ class TestRunScenarioLocal:
 
 class TestRunScenarioRemote:
     def test_remote_fleet_smoke(self):
-        result = run_scenario(tiny(engine="remote", num_queries=20))
+        # Open-loop bursts: concurrent callers share the fleet channels.
+        result = run_scenario(
+            tiny(
+                engine="remote",
+                num_queries=20,
+                arrival="burst",
+                rate_qps=2000.0,
+                burst_size=8,
+            )
+        )
         assert result["bit_identical"]
         assert result["target"] == "remote"
         assert result["workers_reaped"]

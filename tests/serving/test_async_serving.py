@@ -105,16 +105,27 @@ class TestPipelinedConnection:
         finally:
             chan.close()
 
-    def test_v1_peer_fallback_caps_in_flight(self, server):
-        """pipelined=False (what a client uses against a v1 peer) still
-        round-trips — one request at a time, FIFO matched."""
-        chan = _connect(server, pipelined=False)
+    def test_response_without_id_fails_every_pending_request(self):
+        """Answers are matched by echoed ``id`` only: a peer that replies
+        without one cannot be lined up with any request, so the channel
+        fails that future and every other pending one instead of guessing
+        by arrival order."""
+        client, peer = socket.socketpair()
+        chan = wire.PipelinedConnection(client)
         try:
-            for _ in range(5):
-                assert chan.request({"op": "ping"})["ok"] is True
-            assert chan.in_flight == 0
+            first = chan.submit({"op": "ping"})
+            second = chan.submit({"op": "ping"})
+            assert wire.recv_frame(peer)["id"] != wire.recv_frame(peer)["id"]
+            wire.send_frame(peer, {"ok": True})  # no echoed id
+            for future in (first, second):
+                with pytest.raises(wire.WireError, match="request id"):
+                    future.result(timeout=10)
+            assert chan.closed and chan.in_flight == 0
+            with pytest.raises(wire.WireError):
+                chan.submit({"op": "ping"})
         finally:
             chan.close()
+            peer.close()
 
     def test_submit_after_close_raises(self, server):
         chan = _connect(server)

@@ -286,6 +286,32 @@ class TestStrictOwnership:
             for srv in (a, b, c):
                 srv.shutdown()
 
+    def test_discovered_worker_keeps_the_engine_window(
+        self, shard_path, expected
+    ):
+        """A worker learned from a ``not_owner`` refresh is dialed with
+        the engine's ``max_in_flight``, like the configured ones."""
+        pairs, want = expected
+        a = ShardServer(load_serving_index(shard_path), strict=True)
+        c = ShardServer(load_serving_index(shard_path), strict=True, epoch=1)
+        for srv in (a, c):
+            srv.start()
+        try:
+            with RemoteEngine(addresses=[a.address], max_in_flight=3) as engine:
+                everything = list(range(len(a.shard_starts)))
+                _rpc(
+                    a.address,
+                    {"op": "join", "worker": c.worker_id, "owned": everything,
+                     "epoch": 1},
+                )
+                _rpc(a.address, {"op": "leave", "worker": a.worker_id, "epoch": 2})
+                assert engine.distances(pairs) == want
+                found = [w for w in engine._workers if w.id == c.worker_id]
+                assert len(found) == 1 and found[0].chan.max_in_flight == 3
+        finally:
+            for srv in (a, c):
+                srv.shutdown()
+
 
 class TestHeartbeat:
     def test_heartbeat_marks_dead_and_revives(self, shard_path, expected):

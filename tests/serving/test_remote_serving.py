@@ -1,7 +1,11 @@
 """Remote shard serving: ShardServer + the "remote" engine end to end."""
 
+import contextlib
 import math
 import socket
+import struct
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.errors import IndexBuildError, QueryError, StorageError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import ensure_connected, erdos_renyi
 from repro.serving import wire
+from repro.serving.membership import DEAD
 from repro.serving.remote import (
     REMOTE_ADDRS_ENV,
     DirectedRemoteEngine,
@@ -66,6 +71,42 @@ def _addr(server):
     return [(host, port)]
 
 
+@contextlib.contextmanager
+def _hang_up_peer():
+    """A TCP peer that accepts every connection, reads the first request
+    and resets the connection instead of answering it."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            # Reading first keeps the dial itself clean: the failure is
+            # the handshake's.  Zero linger turns close() into a RST.
+            conn.settimeout(5.0)
+            with contextlib.suppress(OSError):
+                conn.recv(1 << 16)
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
+
+
 class TestRegistry:
     def test_remote_registered_both_orientations(self):
         assert "remote" in available_engines(UNDIRECTED)
@@ -102,6 +143,40 @@ class TestRoundtrip:
             assert engine.distances(pairs) == want
             assert engine.distance(*pairs[7]) == want[7]
         assert any(math.isinf(d) for d in want)  # disconnected pairs covered
+
+    def test_concurrent_first_queries_dial_the_fleet_once(self, server, expected):
+        """Callers racing into an unfrozen engine share one freeze, so
+        one channel serves them all and no extra fleet dial leaks."""
+        pairs, want = expected
+        before = set(threading.enumerate())
+        engine = RemoteEngine(addresses=_addr(server))
+        start = threading.Barrier(4)
+        got = {}
+
+        def query(lane):
+            start.wait(timeout=10)
+            got[lane] = engine.distances(pairs[lane::4])
+
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert all(got[i] == want[i::4] for i in range(4))
+            readers = [
+                t for t in threading.enumerate()
+                if t not in before and t.name == "repro-wire-reader"
+            ]
+            assert len(readers) == 1
+        finally:
+            engine.close()
 
     def test_remote_through_load_index_env_seam(
         self, server, shard_path, expected, monkeypatch
@@ -181,6 +256,16 @@ class TestOwnershipRouting:
         sock.close()
         with pytest.raises(StorageError, match="cannot connect"):
             RemoteEngine(addresses=[("127.0.0.1", free_port)]).freeze()
+
+    def test_peer_hanging_up_on_hello_is_a_dead_worker(self, server, expected):
+        """A peer that accepts TCP and then resets the handshake is one
+        dead worker, not a failed freeze: the live worker serves alone."""
+        pairs, want = expected
+        with _hang_up_peer() as peer:
+            with RemoteEngine(addresses=[peer] + _addr(server)) as engine:
+                assert engine.distances(pairs) == want
+                health = {w.address: w.health.state for w in engine._workers}
+                assert health[peer] == DEAD
 
 
 class TestDirectedRemote:
