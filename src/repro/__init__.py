@@ -36,10 +36,6 @@ from repro.core import (
     load_dynamic_index,
     load_index,
     register_engine,
-    save_directed_index,
-    save_dynamic_directed_index,
-    save_dynamic_index,
-    save_index,
     save_snapshot,
 )
 from repro.errors import (
@@ -75,14 +71,10 @@ __all__ = [
     "available_engines",
     "engine_capabilities",
     "engines_with_capability",
-    "save_index",
     "load_index",
-    "save_directed_index",
     "load_directed_index",
     "save_snapshot",
-    "save_dynamic_index",
     "load_dynamic_index",
-    "save_dynamic_directed_index",
     "load_dynamic_directed_index",
     "ReproError",
     "GraphError",

@@ -7,11 +7,11 @@ query           Answer distance (or path) queries against a saved index.
 stats           Show construction statistics of a saved index.
 build-directed  Build a directed (§8.2) index from a directed edge list.
 query-directed  Answer directed distance/path queries against a saved index.
-snapshot        Convert a saved index into a zero-copy serving snapshot.
-serve           Serve an index/snapshot over the shard wire protocol.
+snapshot        Re-lay out a saved index (sharded directory, checksums).
+serve           Serve a saved index over the shard wire protocol.
 rebalance       Move a worker's shard slice to a freshly spawned worker:
                 spawn, join (epoch bump), drain the old owner.
-serve-bench     Load an index/snapshot and measure serving throughput + RSS
+serve-bench     Load a saved index and measure serving throughput + RSS
                 (``--remote host:port,...`` benches a shard-worker fleet
                 through the scheduled remote engine instead).
 dataset         Generate one of the paper's dataset stand-ins as an edge list.
@@ -22,23 +22,23 @@ example         Print the paper's Figure 1-3 walkthrough.
 
 ``--engine`` on the build/query/serve commands selects the compute backend
 by registry name (:mod:`repro.core.engines`): the array/CSR fast engines,
-the mmap/sharded snapshot-serving engines, or the dict reference.  The
-query and serve commands accept both stream index files and snapshots
-(file or sharded directory) — the magic is sniffed.
+the mmap/sharded snapshot-serving engines, or the dict reference.  Every
+saved index is a snapshot (file or sharded directory); ``snapshot``
+re-lays one out (``--shards``, ``--checksum``).
 
 Examples
 --------
 python -m repro dataset google -o google.txt --scale 0.1
-python -m repro build google.txt -o google.islx --with-paths
-python -m repro stats google.islx
-python -m repro query google.islx 3 847 --path
-python -m repro snapshot google.islx -o google.snap --shards 4
-python -m repro serve-bench google.snap --engine sharded --workers 4
+python -m repro build google.txt -o google.snap --with-paths
+python -m repro stats google.snap
+python -m repro query google.snap 3 847 --path
+python -m repro snapshot google.snap -o google.shards --shards 4
+python -m repro serve-bench google.shards --engine sharded --workers 4
 python -m repro serve google.shards --port 7071 --owned 0,1 --strict
 python -m repro serve-bench google.shards --remote 127.0.0.1:7071
 python -m repro rebalance google.shards --source 127.0.0.1:7071
-python -m repro build-directed roads.txt -o roads.isld
-python -m repro query-directed roads.isld 3 847
+python -m repro build-directed roads.txt -o roads.snap
+python -m repro query-directed roads.snap 3 847
 """
 
 from __future__ import annotations
@@ -58,12 +58,14 @@ from repro.core.engines import DIRECTED, UNDIRECTED, available_engines
 from repro.core.index import ISLabelIndex
 from repro.core.paths import PathReconstructor
 from repro.core.serialization import (
+    is_directed_artifact,
     load_directed_index,
+    load_dynamic_directed_index,
+    load_dynamic_index,
     load_index,
-    save_directed_index,
-    save_index,
     save_snapshot,
 )
+from repro.core.snapshot import KIND_DIRECTED, open_snapshot
 from repro.envvars import read_env_bool, read_env_int
 from repro.errors import ReproError
 from repro.graph.io import read_edge_list, write_edge_list
@@ -162,9 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_snap = commands.add_parser(
-        "snapshot", help="convert a saved index into a zero-copy serving snapshot"
+        "snapshot",
+        help="re-lay out a saved index (single file or sharded directory)",
     )
-    p_snap.add_argument("index", help="index file from `repro build[-directed]`")
+    p_snap.add_argument(
+        "index", help="saved index (file/dir) from `repro build[-directed]`"
+    )
     p_snap.add_argument("-o", "--output", required=True, help="snapshot path")
     p_snap.add_argument(
         "--shards",
@@ -182,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_server = commands.add_parser(
         "serve",
-        help="serve an index or snapshot over the shard wire protocol "
+        help="serve a saved index over the shard wire protocol "
         "(one worker of a remote fleet)",
     )
-    p_server.add_argument("index", help="stream index or snapshot (file/dir)")
+    p_server.add_argument("index", help="saved index (file/dir)")
     p_server.add_argument(
         "--engine",
         choices=available_engines(UNDIRECTED),
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rebalance",
         help="spawn a fresh worker for a shard slice and drain its old owner",
     )
-    p_rebal.add_argument("index", help="stream index or snapshot (file/dir)")
+    p_rebal.add_argument("index", help="saved index (file/dir)")
     p_rebal.add_argument(
         "--source",
         required=True,
@@ -290,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = commands.add_parser(
         "serve-bench",
-        help="load an index or snapshot and measure cold-load time, "
+        help="load a saved index and measure cold-load time, "
         "query throughput and resident memory",
     )
-    p_serve.add_argument("index", help="stream index or snapshot (file/dir)")
+    p_serve.add_argument("index", help="saved index (file/dir)")
     p_serve.add_argument(
         "--engine",
         choices=available_engines(UNDIRECTED),
@@ -320,10 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT[,HOST:PORT...]",
         help="bench a running shard-worker fleet through the remote "
         "engine (queries are scheduled per shard pair and sent over "
-        "the wire; --engine is ignored for the compute).  The artifact "
-        "is still opened locally for its coverage metadata — point this "
-        "at the snapshot (lazy, O(1)) rather than a stream file, whose "
-        "parse then dominates the reported load_seconds/RSS",
+        "the wire; --engine is ignored for the compute).  The snapshot "
+        "is still opened locally for its coverage metadata",
     )
 
     p_stats = commands.add_parser("stats", help="show index statistics")
@@ -439,7 +442,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     elapsed = time.perf_counter() - started
-    nbytes = save_index(index, args.output)
+    nbytes = save_snapshot(index, args.output)
     st = index.stats
     print(
         f"built k={st.k} index over |V|={st.num_vertices}, |E|={st.num_edges} "
@@ -487,7 +490,7 @@ def _cmd_build_directed(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     elapsed = time.perf_counter() - started
-    nbytes = save_directed_index(index, args.output)
+    nbytes = save_snapshot(index, args.output)
     hierarchy = index.hierarchy
     print(
         f"built k={index.k} directed index over |V|={graph.num_vertices}, "
@@ -523,22 +526,20 @@ def _cmd_query_directed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_directed_artifact(path: str) -> bool:
-    """Sniff whether ``path`` holds a directed index or snapshot."""
-    from repro.core.serialization import is_directed_artifact
-
-    return is_directed_artifact(path)
-
-
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    if _is_directed_artifact(args.index):
+    snap = open_snapshot(args.index)
+    directed = snap.kind == KIND_DIRECTED
+    if "dynamic" in snap.meta:
+        load = load_dynamic_directed_index if directed else load_dynamic_index
+        index = load(args.index)
+    elif directed:
         index = load_directed_index(args.index, engine="fast")
     else:
         index = load_index(args.index, engine="fast")
     nbytes = save_snapshot(
         index, args.output, shards=args.shards, checksum=args.checksum
     )
-    kind = "directed" if isinstance(index, DirectedISLabelIndex) else "undirected"
+    kind = "directed" if directed else "undirected"
     layout = f"{args.shards} shards" if args.shards > 1 else "single file"
     if args.checksum:
         layout += ", crc32"
@@ -565,7 +566,7 @@ def _serve_bench_once(
     """
     from repro.bench.harness import process_rss_kib
 
-    directed = _is_directed_artifact(path)
+    directed = is_directed_artifact(path)
     started = time.perf_counter()
     if remote is not None:
         from repro.core.engines import resolve_engine

@@ -62,10 +62,6 @@ from repro.core.serialization import (
     load_dynamic_directed_index,
     load_dynamic_index,
     load_index,
-    save_directed_index,
-    save_dynamic_directed_index,
-    save_dynamic_index,
-    save_index,
     save_snapshot,
 )
 from repro.core.snapshot import (
@@ -133,9 +129,7 @@ __all__ = [
     "DirectedHierarchy",
     "DynamicISLabelIndex",
     "DynamicDirectedISLabelIndex",
-    "save_index",
     "load_index",
-    "save_directed_index",
     "load_directed_index",
     "save_snapshot",
     "open_snapshot",
@@ -144,8 +138,6 @@ __all__ = [
     "ShardedEngine",
     "DirectedMmapEngine",
     "DirectedShardedEngine",
-    "save_dynamic_index",
     "load_dynamic_index",
-    "save_dynamic_directed_index",
     "load_dynamic_directed_index",
 ]

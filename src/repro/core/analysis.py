@@ -10,6 +10,7 @@ and handy in a REPL).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -34,13 +35,16 @@ def hierarchy_report(index: ISLabelIndex) -> List[LevelRow]:
     hierarchy = index.hierarchy
     rows: List[LevelRow] = []
     sizes = hierarchy.sizes
-    for i, peeled in enumerate(hierarchy.levels, start=1):
+    # |L_i| from the level map, which every index carries (a loaded
+    # snapshot has no removal adjacency to count).
+    peeled = Counter(hierarchy.level_of.values())
+    for i in range(1, hierarchy.k):
         before = sizes[i - 1]
         after = sizes[i] if i < len(sizes) else before
         rows.append(
             LevelRow(
                 level=i,
-                peeled=len(peeled),
+                peeled=peeled[i],
                 graph_size=before,
                 shrink_ratio=(after / before) if before else 1.0,
             )

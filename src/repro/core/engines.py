@@ -17,8 +17,8 @@ facades fall back to their built-in code path when the registry resolves to
 it.  Everything else — today :class:`repro.core.fastlabels.FastEngine` and
 :class:`repro.core.fastdirected.DirectedFastEngine`, later sharded or
 incrementally-invalidated backends — is constructed through the registered
-factory, so new backends plug in without touching ``index.py``,
-``serialization.py`` or the CLI.
+factory, so new backends plug in without touching ``index.py``, the
+snapshot loaders in ``serialization.py`` or the CLI.
 """
 
 from __future__ import annotations

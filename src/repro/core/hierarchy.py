@@ -111,7 +111,7 @@ class VertexHierarchy:
         return self.gk.has_vertex(v)
 
     def validate_level_numbers(self) -> None:
-        """Internal consistency check used by tests and deserialization."""
+        """Internal consistency check used by tests."""
         for i, peeled in enumerate(self.levels, start=1):
             for v in peeled:
                 if self.level_of.get(v) != i:

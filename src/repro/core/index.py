@@ -183,8 +183,9 @@ class _IndexFacade:
     def attach_fast_engine(self, engine: str = "fast") -> Self:
         """Attach the registered ``engine`` over the current labels/``G_k``.
 
-        Used by the loaders in :mod:`repro.core.serialization` and by tests
-        that construct indexes directly.  Resolves through the engine
+        Used by the snapshot loaders in :mod:`repro.core.serialization`
+        (heap engines, dynamic reloads) and by tests that construct
+        indexes directly.  Resolves through the engine
         registry, so a replacement backend registered under the same name
         is honoured everywhere.  The engine snapshots the labels — mutate
         them afterwards only through :meth:`invalidate_labels`.

@@ -1,38 +1,43 @@
-"""Persisting built indexes to real files and back.
+"""Persisting built indexes to real files and back: one format, the snapshot.
 
-The simulated :class:`LabelStore` models query-time I/O *costs*; this module
-covers the orthogonal need of shipping a built index between processes.  The
-format is a little-endian binary dump of everything :class:`ISLabelIndex`
-holds: level numbers, per-level removal adjacency, ``G_k``, labels (with
-predecessors when present) and augmenting-edge hints.  Directed indexes
-(:class:`DirectedISLabelIndex`) have their own format with per-direction
-adjacency, labels and predecessors.
+An IS-LABEL index is its vertex labels plus ``G_k``.  :func:`save_snapshot`
+writes exactly that as the zero-copy snapshot of :mod:`repro.core.snapshot`
+— raw aligned dumps of the frozen engine arrays (packed labels with their
+pre-extracted seeds, the ``G_k`` CSR arrays, the optional all-pairs table)
+plus the facade's coverage metadata (vertex levels, ``k``, ``sigma``, the
+size trace).  Two optional section sets ride in the same file, written
+only when the index holds that state:
 
-Dynamic state (§8.3) persists too: :func:`save_dynamic_index` /
-:func:`save_dynamic_directed_index` prepend the update counters and the
-*live* graph to the embedded index dump, so a
-:class:`repro.core.updates.DynamicISLabelIndex` /
-:class:`~repro.core.updates.DynamicDirectedISLabelIndex` round-trips with
-its patched labels, staleness counters and approximate flag intact and the
-loader re-attaches a registered engine over the patched labels.  (Indexes
-built in disk-storage mode reload in memory mode — the label *contents*
-are identical; the simulated store is a cost model, not state.)
+* **path state** (§8.1, ``with_paths``): one ``int64`` predecessor array
+  per label table (``lab_pred``, or ``out_pred``/``in_pred``), aligned
+  with that table's unsharded flat ``anc`` order (``_NO_PRED`` stands for
+  "the entry is an edge"), plus the augmenting-edge hints as
+  ``hint_u``/``hint_w``/``hint_mid``;
+* **§8.3 dynamic state**: the live graph (``graph_ids`` plus the
+  ``graph_u``/``graph_v``/``graph_w`` edge arrays — undirected edges once
+  each, directed arcs as they are) and a ``dynamic`` meta entry with the
+  update counters, the ``approximate`` flag and the JSON-safe build
+  kwargs.
 
-Orthogonal to the stream format, :func:`save_snapshot` writes the
-**zero-copy serving snapshot** of :mod:`repro.core.snapshot` — raw aligned
-dumps of the frozen engine arrays plus the facade's coverage metadata.
-:func:`load_index` / :func:`load_directed_index` sniff the magic, so one
-loader serves both formats; pass ``engine="mmap"`` (or ``"sharded"``) to
-serve a snapshot straight from the page cache with no per-entry parsing.
+Per-level removal adjacency is not stored: after a build nothing reads it
+(per-level counts come from the coverage levels; §8.3 deletions only pop
+from it).  Indexes built in disk-storage mode reload in memory mode — the
+label *contents* are identical; the simulated store is a cost model, not
+state.
+
+:func:`load_index` / :func:`load_directed_index` serve any snapshot: pass
+``engine="mmap"`` (or ``"sharded"``) to serve it straight from the page
+cache with no per-entry parsing.  :func:`load_dynamic_index` and its
+directed twin materialize mutable labels, ``G_k`` and the level map and
+resume §8.3 maintenance where the saved index left off.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -51,7 +56,6 @@ from repro.core.snapshot import (
     ShardedEngine,
     Snapshot,
     SnapshotLabels,
-    is_snapshot_path,
     open_snapshot,
     write_snapshot,
 )
@@ -69,414 +73,44 @@ from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 
 __all__ = [
-    "save_index",
     "load_index",
     "is_directed_artifact",
-    "save_directed_index",
     "load_directed_index",
     "save_snapshot",
-    "save_dynamic_index",
     "load_dynamic_index",
-    "save_dynamic_directed_index",
     "load_dynamic_directed_index",
 ]
 
-_MAGIC = b"ISLX"
-_VERSION = 1
-
-
-def is_directed_artifact(path) -> bool:
-    """True when ``path`` holds a *directed* stream index or snapshot.
-
-    The one place the directed/undirected sniff lives (stream magic or
-    snapshot kind); the CLI and the serving layer both route through it
-    so a future format change cannot desynchronize them.
-    """
-    if is_snapshot_path(path):
-        return open_snapshot(path).kind == KIND_DIRECTED
-    with open(path, "rb") as fh:
-        return fh.read(len(_DMAGIC)) == _DMAGIC
-
-_HEADER = struct.Struct("<4sHBdq")  # magic, version, flags, sigma, k
-_COUNT = struct.Struct("<q")
-_PAIR = struct.Struct("<qq")
-_TRIPLE = struct.Struct("<qqq")
-
-_FLAG_WITH_PATHS = 1
-_NO_SIGMA = -1.0
+#: Predecessor sentinel for a label entry that is itself an edge (``None``).
 _NO_PRED = -(2 ** 62)
 
 PathLike = Union[str, Path]
 
 
-def _read_header_bytes(fh: BinaryIO, path: PathLike, size: int) -> bytes:
-    """Read an exact header block or raise a diagnosable StorageError.
+def is_directed_artifact(path) -> bool:
+    """True when ``path`` holds a *directed* snapshot (file or directory).
 
-    Truncated and empty files must fail with the path and the observed
-    size — not a raw ``struct.error`` from unpacking a short buffer —
-    so a caller staring at a corrupt artifact knows *which* file is bad
-    and how short it is.
+    The one place the directed/undirected sniff lives; the CLI and the
+    serving layer both route through it.
     """
-    data = fh.read(size)
-    if len(data) == size:
-        return data
-    try:
-        observed = os.path.getsize(os.fspath(path))
-        detail = f"file is {observed} bytes"
-    except OSError:
-        detail = f"read {len(data)} bytes"
-    raise StorageError(
-        f"{path}: truncated or empty index file "
-        f"({detail}, header needs {size})"
-    )
-
-
-def save_index(index: ISLabelIndex, path: PathLike) -> int:
-    """Write ``index`` to ``path``; returns bytes written."""
-    with open(path, "wb") as fh:
-        _write_index(fh, index)
-        return fh.tell()
-
-
-def _write_index(fh: BinaryIO, index: ISLabelIndex) -> None:
-    """Serialize one undirected index into an open stream."""
-    hierarchy = index.hierarchy
-    with_paths = index._preds is not None and hierarchy.hints is not None
-    flags = _FLAG_WITH_PATHS if with_paths else 0
-    sigma = hierarchy.sigma if hierarchy.sigma is not None else _NO_SIGMA
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, sigma, hierarchy.k))
-
-    _write_count(fh, len(hierarchy.sizes))
-    for size in hierarchy.sizes:
-        fh.write(_COUNT.pack(size))
-
-    # Per-level removal adjacency.
-    for peeled in hierarchy.levels:
-        _write_count(fh, len(peeled))
-        for v, adjacency in peeled.items():
-            fh.write(_PAIR.pack(v, len(adjacency)))
-            for u, w in adjacency:
-                fh.write(_PAIR.pack(u, w))
-
-    # G_k.
-    _write_count(fh, hierarchy.gk.num_vertices)
-    for v in hierarchy.gk.sorted_vertices():
-        fh.write(_COUNT.pack(v))
-    edges = list(hierarchy.gk.edges())
-    _write_count(fh, len(edges))
-    for u, v, w in edges:
-        fh.write(_TRIPLE.pack(u, v, w))
-
-    # Labels (with predecessors when present).
-    _write_count(fh, len(index._labels))
-    for v, entries in index._labels.items():
-        fh.write(_PAIR.pack(v, len(entries)))
-        preds = index._preds[v] if with_paths else None
-        for w, d in entries:
-            if with_paths:
-                pred = preds[w]
-                fh.write(_TRIPLE.pack(w, d, _NO_PRED if pred is None else pred))
-            else:
-                fh.write(_PAIR.pack(w, d))
-
-    # Hints.
-    if with_paths:
-        hints = hierarchy.hints
-        _write_count(fh, len(hints))
-        for (u, w), mid in hints.items():
-            fh.write(_TRIPLE.pack(u, w, mid))
-
-
-def load_index(
-    path: PathLike,
-    cost_model: Optional[CostModel] = None,
-    engine: str = "fast",
-) -> ISLabelIndex:
-    """Load an index saved by :func:`save_index` (memory-storage mode).
-
-    ``engine`` selects the query backend of the loaded index, matching
-    :meth:`ISLabelIndex.build`: ``"fast"`` (default) re-freezes the labels
-    and ``G_k`` into the array/CSR engine, ``"dict"`` keeps the reference
-    structures only.  Names resolve through the shared engine registry
-    (:mod:`repro.core.engines`); the on-disk format is engine-independent.
-
-    ``path`` may also be a serving snapshot written by
-    :func:`save_snapshot` (file or sharded directory) — the magic is
-    sniffed, and ``engine="mmap"`` / ``"sharded"`` then serve it zero-copy
-    straight from the mapped sections.
-    """
-    factory = resolve_engine(UNDIRECTED, engine)
-    if is_snapshot_path(path):
-        return _load_snapshot_index(path, cost_model, engine)
-    with open(path, "rb") as fh:
-        index = _read_index(fh, path, cost_model)
-    if factory is not None:
-        index.attach_fast_engine(engine)
-    return index
-
-
-def _read_index(
-    fh: BinaryIO, path: PathLike, cost_model: Optional[CostModel]
-) -> ISLabelIndex:
-    """Deserialize one undirected index (no engine attached) from a stream."""
-    header = _read_header_bytes(fh, path, _HEADER.size)
-    magic, version, flags, sigma, k = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise StorageError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise StorageError(f"{path}: unsupported version {version}")
-    with_paths = bool(flags & _FLAG_WITH_PATHS)
-
-    sizes = [_read_count(fh) for _ in range(_read_count(fh))]
-
-    levels: List[Dict[int, List[Tuple[int, int]]]] = []
-    level_of: Dict[int, int] = {}
-    for i in range(1, k):
-        count = _read_count(fh)
-        peeled: Dict[int, List[Tuple[int, int]]] = {}
-        for _ in range(count):
-            v, degree = _read_pair(fh)
-            peeled[v] = [_read_pair(fh) for _ in range(degree)]
-            level_of[v] = i
-        levels.append(peeled)
-
-    gk = Graph()
-    for _ in range(_read_count(fh)):
-        v = _read_count(fh)
-        gk.add_vertex(v)
-        level_of[v] = k
-    for _ in range(_read_count(fh)):
-        u, v, w = _read_triple(fh)
-        gk.add_edge(u, v, w)
-
-    labels: Dict[int, List[Tuple[int, int]]] = {}
-    preds: Optional[Dict[int, Dict[int, Optional[int]]]] = (
-        {} if with_paths else None
-    )
-    for _ in range(_read_count(fh)):
-        v, count = _read_pair(fh)
-        entries: List[Tuple[int, int]] = []
-        pred_v: Dict[int, Optional[int]] = {}
-        for _ in range(count):
-            if with_paths:
-                w, d, pred = _read_triple(fh)
-                entries.append((w, d))
-                pred_v[w] = None if pred == _NO_PRED else pred
-            else:
-                entries.append(_read_pair(fh))
-        labels[v] = entries
-        if preds is not None:
-            preds[v] = pred_v
-
-    hints = None
-    if with_paths:
-        hints = {}
-        for _ in range(_read_count(fh)):
-            u, w, mid = _read_triple(fh)
-            hints[(u, w)] = mid
-
-    hierarchy = VertexHierarchy(
-        levels=levels,
-        gk=gk,
-        level_of=level_of,
-        sizes=sizes,
-        sigma=None if sigma == _NO_SIGMA else sigma,
-        hints=hints,
-    )
-    hierarchy.validate_level_numbers()
-    return ISLabelIndex(
-        hierarchy=hierarchy,
-        labels=labels,
-        preds=preds,
-        store=None,
-        cost_model=cost_model or CostModel(),
-        labeling_seconds=0.0,
-    )
+    return open_snapshot(path).kind == KIND_DIRECTED
 
 
 # ----------------------------------------------------------------------
-# Directed indexes (§8.2)
-# ----------------------------------------------------------------------
-_DMAGIC = b"ISLD"
-
-
-def save_directed_index(index: DirectedISLabelIndex, path: PathLike) -> int:
-    """Write a directed index to ``path``; returns bytes written."""
-    with open(path, "wb") as fh:
-        _write_directed_index(fh, index)
-        return fh.tell()
-
-
-def _write_directed_index(fh: BinaryIO, index: DirectedISLabelIndex) -> None:
-    """Serialize one directed index into an open stream."""
-    hierarchy = index.hierarchy
-    with_paths = index._out_preds is not None and hierarchy.hints is not None
-    flags = _FLAG_WITH_PATHS if with_paths else 0
-    sigma = hierarchy.sigma if hierarchy.sigma is not None else _NO_SIGMA
-    fh.write(_HEADER.pack(_DMAGIC, _VERSION, flags, sigma, hierarchy.k))
-
-    _write_count(fh, len(hierarchy.sizes))
-    for size in hierarchy.sizes:
-        fh.write(_COUNT.pack(size))
-
-    # Per-level removal adjacency, both directions.
-    for peeled in hierarchy.levels:
-        _write_count(fh, len(peeled))
-        for v, (in_adj, out_adj) in peeled.items():
-            fh.write(_TRIPLE.pack(v, len(in_adj), len(out_adj)))
-            for u, w in in_adj:
-                fh.write(_PAIR.pack(u, w))
-            for u, w in out_adj:
-                fh.write(_PAIR.pack(u, w))
-
-    # G_k arcs.
-    _write_count(fh, hierarchy.gk.num_vertices)
-    for v in sorted(hierarchy.gk.vertices()):
-        fh.write(_COUNT.pack(v))
-    arcs = sorted(hierarchy.gk.edges())
-    _write_count(fh, len(arcs))
-    for u, v, w in arcs:
-        fh.write(_TRIPLE.pack(u, v, w))
-
-    # Out- and in-labels (with predecessors when present).
-    for table, preds in (
-        (index._out_labels, index._out_preds),
-        (index._in_labels, index._in_preds),
-    ):
-        _write_count(fh, len(table))
-        for v, entries in table.items():
-            fh.write(_PAIR.pack(v, len(entries)))
-            pred_v = preds[v] if with_paths else None
-            for w, d in entries:
-                if with_paths:
-                    pred = pred_v[w]
-                    fh.write(
-                        _TRIPLE.pack(w, d, _NO_PRED if pred is None else pred)
-                    )
-                else:
-                    fh.write(_PAIR.pack(w, d))
-
-    # Arc hints.
-    if with_paths:
-        _write_count(fh, len(hierarchy.hints))
-        for (u, w), mid in hierarchy.hints.items():
-            fh.write(_TRIPLE.pack(u, w, mid))
-
-
-def load_directed_index(
-    path: PathLike, engine: str = "fast"
-) -> DirectedISLabelIndex:
-    """Load a directed index saved by :func:`save_directed_index`.
-
-    ``engine`` mirrors :func:`load_index`: ``"fast"`` (default) attaches a
-    :class:`repro.core.fastdirected.DirectedFastEngine` over the loaded
-    labels and ``G_k``, ``"dict"`` keeps the reference structures only.
-    Snapshot paths (see :func:`save_snapshot`) are sniffed and served
-    zero-copy under ``engine="mmap"`` / ``"sharded"``.
-    """
-    factory = resolve_engine(DIRECTED, engine)
-    if is_snapshot_path(path):
-        return _load_directed_snapshot_index(path, engine)
-    with open(path, "rb") as fh:
-        index = _read_directed_index(fh, path)
-    if factory is not None:
-        index.attach_fast_engine(engine)
-    return index
-
-
-def _read_directed_index(fh: BinaryIO, path: PathLike) -> DirectedISLabelIndex:
-    """Deserialize one directed index (no engine attached) from a stream."""
-    header = _read_header_bytes(fh, path, _HEADER.size)
-    magic, version, flags, sigma, k = _HEADER.unpack(header)
-    if magic != _DMAGIC:
-        raise StorageError(f"{path}: bad magic {magic!r} (not a directed index)")
-    if version != _VERSION:
-        raise StorageError(f"{path}: unsupported version {version}")
-    with_paths = bool(flags & _FLAG_WITH_PATHS)
-
-    sizes = [_read_count(fh) for _ in range(_read_count(fh))]
-
-    levels: List[Dict[int, Tuple[list, list]]] = []
-    level_of: Dict[int, int] = {}
-    for i in range(1, k):
-        count = _read_count(fh)
-        peeled: Dict[int, Tuple[list, list]] = {}
-        for _ in range(count):
-            v, in_deg, out_deg = _read_triple(fh)
-            in_adj = [_read_pair(fh) for _ in range(in_deg)]
-            out_adj = [_read_pair(fh) for _ in range(out_deg)]
-            peeled[v] = (in_adj, out_adj)
-            level_of[v] = i
-        levels.append(peeled)
-
-    gk = DiGraph()
-    for _ in range(_read_count(fh)):
-        v = _read_count(fh)
-        gk.add_vertex(v)
-        level_of[v] = k
-    for _ in range(_read_count(fh)):
-        u, v, w = _read_triple(fh)
-        gk.add_edge(u, v, w)
-
-    def read_label_table():
-        table: Dict[int, list] = {}
-        preds: Optional[Dict[int, Dict[int, Optional[int]]]] = (
-            {} if with_paths else None
-        )
-        for _ in range(_read_count(fh)):
-            v, count = _read_pair(fh)
-            entries = []
-            pred_v: Dict[int, Optional[int]] = {}
-            for _ in range(count):
-                if with_paths:
-                    w, d, pred = _read_triple(fh)
-                    entries.append((w, d))
-                    pred_v[w] = None if pred == _NO_PRED else pred
-                else:
-                    entries.append(_read_pair(fh))
-            table[v] = entries
-            if preds is not None:
-                preds[v] = pred_v
-        return table, preds
-
-    out_labels, out_preds = read_label_table()
-    in_labels, in_preds = read_label_table()
-
-    hints = None
-    if with_paths:
-        hints = {}
-        for _ in range(_read_count(fh)):
-            u, w, mid = _read_triple(fh)
-            hints[(u, w)] = mid
-
-    hierarchy = DirectedHierarchy(
-        levels=levels,
-        gk=gk,
-        level_of=level_of,
-        sizes=sizes,
-        sigma=None if sigma == _NO_SIGMA else sigma,
-        hints=hints,
-    )
-    return DirectedISLabelIndex(
-        hierarchy=hierarchy,
-        out_labels=out_labels,
-        in_labels=in_labels,
-        labeling_seconds=0.0,
-        out_preds=out_preds,
-        in_preds=in_preds,
-    )
-
-
-# ----------------------------------------------------------------------
-# Serving snapshots: zero-copy engine arrays + facade coverage metadata
+# Writing
 # ----------------------------------------------------------------------
 def save_snapshot(
-    index: Union[ISLabelIndex, DirectedISLabelIndex],
+    index: Union[
+        ISLabelIndex,
+        DirectedISLabelIndex,
+        DynamicISLabelIndex,
+        DynamicDirectedISLabelIndex,
+    ],
     path: PathLike,
     shards: int = 1,
     checksum: bool = False,
 ) -> int:
-    """Write ``index`` as a zero-copy serving snapshot; returns bytes.
+    """Write ``index`` as a snapshot; returns bytes written.
 
     The snapshot holds the *frozen engine state* — packed label arrays
     with their pre-extracted seeds, the ``G_k`` CSR arrays and the
@@ -485,18 +119,23 @@ def save_snapshot(
     writes one file; ``shards > 1`` writes a directory of vertex-id-range
     label shards around a small shared file, the layout the ``"sharded"``
     engine serves.  Load with :func:`load_index` /
-    :func:`load_directed_index` and ``engine="mmap"`` or ``"sharded"``.
+    :func:`load_directed_index` (any engine, ``"mmap"``/``"sharded"``
+    zero-copy).
 
     Works for any attached engine: a :class:`PackedEngineBase` engine is
     snapshotted directly (frozen first if needed); a dict-engine index is
-    packed through a transient fast engine.  Path-reconstruction state
-    (``with_paths``) and dynamic counters are *not* captured — snapshots
-    are static serving artifacts; use the stream format for those.
+    packed through a transient fast engine.  A ``with_paths`` index also
+    writes its path sections, and a :class:`DynamicISLabelIndex` /
+    :class:`DynamicDirectedISLabelIndex` its live graph and update state
+    (reload it with :func:`load_dynamic_index` / its directed twin).
 
     ``checksum=True`` adds a CRC32 per snapshot section, verified lazily
     on the section's first map; corruption then loads as a loud
     :class:`StorageError` naming the section and file.
     """
+    dyn = None
+    if isinstance(index, (DynamicISLabelIndex, DynamicDirectedISLabelIndex)):
+        dyn, index = index, index.index
     directed = isinstance(index, DirectedISLabelIndex)
     engine = index._fast
     if not isinstance(engine, PackedEngineBase):
@@ -511,22 +150,200 @@ def save_snapshot(
     cov_levels = np.array(
         [hierarchy.level_of[int(v)] for v in cov_keys], dtype=np.int64
     )
+    sections = {"cov_keys": cov_keys, "cov_levels": cov_levels}
     meta = {
         "k": hierarchy.k,
         "sigma": hierarchy.sigma,
         "sizes": list(hierarchy.sizes),
     }
+    if hierarchy.hints is not None:
+        sections.update(_path_sections(index, engine))
+    if dyn is not None:
+        sections.update(_graph_sections(dyn.graph))
+        meta["dynamic"] = {
+            "inserts": dyn.inserts_applied,
+            "deletes": dyn.deletes_applied,
+            "approximate": dyn.approximate,
+            "build_kwargs": _json_safe(dyn._build_kwargs),
+        }
     return write_snapshot(
         os.fspath(path),
         engine,
-        extra_sections={"cov_keys": cov_keys, "cov_levels": cov_levels},
+        extra_sections=sections,
         meta=meta,
         shards=shards,
         checksum=checksum,
     )
 
 
-def _snapshot_coverage(snap: Snapshot, path: PathLike) -> Dict[int, int]:
+def _path_sections(index, engine) -> Dict[str, np.ndarray]:
+    """The §8.1 sections: per-table predecessors and the edge hints."""
+    engine.freeze()
+    if isinstance(index, DirectedISLabelIndex):
+        tables = (
+            ("out", engine.out_table, index._out_preds),
+            ("in", engine.in_table, index._in_preds),
+        )
+    else:
+        tables = (("lab", engine.table, index._preds),)
+    sections: Dict[str, np.ndarray] = {}
+    for prefix, table, preds in tables:
+        flat = table.to_flat()
+        owners = np.repeat(flat.keys, np.diff(flat.indptr)).tolist()
+        pred = [preds[v][a] for v, a in zip(owners, flat.anc.tolist())]
+        sections[f"{prefix}_pred"] = np.array(
+            [_NO_PRED if p is None else p for p in pred], dtype=np.int64
+        )
+    hints = index.hierarchy.hints
+    sections["hint_u"] = np.array([u for u, _ in hints], dtype=np.int64)
+    sections["hint_w"] = np.array([w for _, w in hints], dtype=np.int64)
+    sections["hint_mid"] = np.array(list(hints.values()), dtype=np.int64)
+    return sections
+
+
+def _graph_sections(graph) -> Dict[str, np.ndarray]:
+    """The live graph: sorted vertex ids plus parallel edge arrays."""
+    edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 3)
+    return {
+        "graph_ids": np.array(sorted(graph.vertices()), dtype=np.int64),
+        "graph_u": edges[:, 0].copy(),
+        "graph_v": edges[:, 1].copy(),
+        "graph_w": edges[:, 2].copy(),
+    }
+
+
+def _json_safe(kwargs: Dict) -> Dict:
+    """The build kwargs a ``rebuild()`` must reproduce, minus values JSON
+    cannot hold (e.g. a custom ``cost_model`` — those revert to defaults
+    on load)."""
+    safe = {}
+    for key, value in kwargs.items():
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError):
+            continue
+        safe[key] = value
+    return safe
+
+
+# ----------------------------------------------------------------------
+# Reading
+# ----------------------------------------------------------------------
+def load_index(
+    path: PathLike,
+    cost_model: Optional[CostModel] = None,
+    engine: str = "fast",
+) -> ISLabelIndex:
+    """Load an undirected snapshot written by :func:`save_snapshot`.
+
+    ``engine`` selects the query backend of the loaded index, matching
+    :meth:`ISLabelIndex.build`: ``"fast"`` (default) re-packs the labels
+    and ``G_k`` into the array/CSR engine, ``"dict"`` keeps the reference
+    structures only, and ``"mmap"`` / ``"sharded"`` serve the snapshot
+    zero-copy straight from the mapped sections.  Names resolve through
+    the shared engine registry (:mod:`repro.core.engines`).  A dynamic
+    snapshot loads as its static view; path sections, when present,
+    restore :class:`~repro.core.paths.PathReconstructor` support.
+    """
+    snap = _open(path, KIND_UNDIRECTED)
+    hierarchy = _snapshot_hierarchy(snap, path, VertexHierarchy)
+    index = ISLabelIndex(
+        hierarchy=hierarchy,
+        labels=SnapshotLabels(snap.label_table("lab")),
+        preds=_snapshot_preds(snap, "lab"),
+        store=None,
+        cost_model=cost_model or CostModel(),
+        labeling_seconds=0.0,
+    )
+    _attach_snapshot_engine(index, UNDIRECTED, engine, path, hierarchy.gk)
+    return index
+
+
+def load_directed_index(
+    path: PathLike, engine: str = "fast"
+) -> DirectedISLabelIndex:
+    """Load a directed snapshot (mirrors :func:`load_index`)."""
+    snap = _open(path, KIND_DIRECTED)
+    hierarchy = _snapshot_hierarchy(snap, path, DirectedHierarchy)
+    index = DirectedISLabelIndex(
+        hierarchy=hierarchy,
+        out_labels=SnapshotLabels(snap.label_table("out")),
+        in_labels=SnapshotLabels(snap.label_table("in")),
+        labeling_seconds=0.0,
+        out_preds=_snapshot_preds(snap, "out"),
+        in_preds=_snapshot_preds(snap, "in"),
+    )
+    _attach_snapshot_engine(index, DIRECTED, engine, path, hierarchy.gk)
+    return index
+
+
+def load_dynamic_index(
+    path: PathLike,
+    cost_model: Optional[CostModel] = None,
+    engine: str = "fast",
+) -> DynamicISLabelIndex:
+    """Load a dynamic index saved by :func:`save_snapshot`.
+
+    The restored index resumes exactly where it left off: patched labels,
+    staleness counters, the ``approximate`` flag *and the original build
+    parameters* (``k``/``sigma``/``full``/... — so a later ``rebuild()``
+    reproduces the saved configuration) survive.  The selected ``engine``
+    (resolved through the registry, ``"fast"`` by default) serves queries,
+    keeps absorbing §8.3 updates, and is what future rebuilds use.  A
+    snapshot without dynamic state raises :class:`StorageError`.
+    """
+    snap = _open(path, KIND_UNDIRECTED, dynamic=True)
+    index = ISLabelIndex(
+        hierarchy=_snapshot_hierarchy(snap, path, VertexHierarchy),
+        labels=dict(SnapshotLabels(snap.label_table("lab"))),
+        preds=None,
+        store=None,
+        cost_model=cost_model or CostModel(),
+        labeling_seconds=0.0,
+    )
+    return _resume(DynamicISLabelIndex, snap, index, Graph(), engine)
+
+
+def load_dynamic_directed_index(
+    path: PathLike, engine: str = "fast"
+) -> DynamicDirectedISLabelIndex:
+    """Load a dynamic directed index (mirrors :func:`load_dynamic_index`)."""
+    snap = _open(path, KIND_DIRECTED, dynamic=True)
+    index = DirectedISLabelIndex(
+        hierarchy=_snapshot_hierarchy(snap, path, DirectedHierarchy),
+        out_labels=dict(SnapshotLabels(snap.label_table("out"))),
+        in_labels=dict(SnapshotLabels(snap.label_table("in"))),
+        labeling_seconds=0.0,
+    )
+    return _resume(DynamicDirectedISLabelIndex, snap, index, DiGraph(), engine)
+
+
+def _open(path: PathLike, kind: int, dynamic: bool = False) -> Snapshot:
+    snap = open_snapshot(path)
+    if snap.kind != kind:
+        if snap.kind == KIND_DIRECTED:
+            raise StorageError(f"{path}: directed snapshot; use load_directed_index")
+        raise StorageError(f"{path}: undirected snapshot; use load_index")
+    if dynamic and "dynamic" not in snap.meta:
+        raise StorageError(
+            f"{path}: snapshot holds no dynamic state; serve it with "
+            "load_index / load_directed_index"
+        )
+    return snap
+
+
+def _snapshot_hierarchy(snap: Snapshot, path: PathLike, cls):
+    """The facade's hierarchy: ``G_k``, levels, size trace, hints.
+
+    Removal adjacency is not stored, so ``levels`` holds ``k - 1`` empty
+    maps; per-level counts come from ``level_of``.
+    """
+    k = int(snap.meta.get("k", 1))
+    shared = snap.shared
+    hints = None
+    if shared.has("hint_mid"):
+        keys = zip(shared.array("hint_u").tolist(), shared.array("hint_w").tolist())
+        hints = dict(zip(keys, shared.array("hint_mid").tolist()))
     coverage = snap.coverage()
     if coverage is None:
         raise StorageError(
@@ -534,7 +351,60 @@ def _snapshot_coverage(snap: Snapshot, path: PathLike) -> Dict[int, int]:
             "spill?); re-create it with save_snapshot"
         )
     keys, levels = coverage
-    return dict(zip(keys.tolist(), levels.tolist()))
+    return cls(
+        levels=[{} for _ in range(max(k - 1, 0))],
+        gk=snap.gk_graph(),
+        level_of=dict(zip(keys.tolist(), levels.tolist())),
+        sizes=list(snap.meta.get("sizes") or []),
+        sigma=snap.meta.get("sigma"),
+        hints=hints,
+    )
+
+
+def _snapshot_preds(snap: Snapshot, prefix: str):
+    """``{vertex: {ancestor: predecessor}}`` of one table, if saved."""
+    name = f"{prefix}_pred"
+    if not snap.shared.has(name):
+        return None
+    flat = snap.label_table(prefix).to_flat()
+    pred = snap.shared.array(name).tolist()
+    if len(pred) != len(flat.anc):
+        raise StorageError(
+            f"{snap.path}: section {name!r} has {len(pred)} entries, "
+            f"its label table {len(flat.anc)}"
+        )
+    owners = np.repeat(flat.keys, np.diff(flat.indptr)).tolist()
+    preds: Dict[int, Dict[int, Optional[int]]] = {
+        v: {} for v in flat.keys.tolist()
+    }
+    for v, a, p in zip(owners, flat.anc.tolist(), pred):
+        preds[v][a] = None if p == _NO_PRED else p
+    return preds
+
+
+def _resume(cls, snap: Snapshot, index, graph, engine: str):
+    """Rebuild the live graph and hand everything to ``cls.from_parts``."""
+    state = snap.meta["dynamic"]
+    shared = snap.shared
+    for v in shared.array("graph_ids").tolist():
+        graph.add_vertex(v)
+    for u, v, w in zip(
+        shared.array("graph_u").tolist(),
+        shared.array("graph_v").tolist(),
+        shared.array("graph_w").tolist(),
+    ):
+        graph.add_edge(u, v, w)
+    index.attach_fast_engine(engine)
+    build_kwargs = dict(state["build_kwargs"])
+    build_kwargs["engine"] = engine
+    return cls.from_parts(
+        graph,
+        index,
+        inserts_applied=int(state["inserts"]),
+        deletes_applied=int(state["deletes"]),
+        approximate=bool(state["approximate"]),
+        build_kwargs=build_kwargs,
+    )
 
 
 def _attach_snapshot_engine(index, kind: str, engine: str, path, gk) -> None:
@@ -568,245 +438,3 @@ def _attach_snapshot_engine(index, kind: str, engine: str, path, gk) -> None:
     elif factory is not None:
         # Heap engines re-pack from the (lazily materialized) label view.
         index.attach_fast_engine(engine)
-
-
-def _load_snapshot_index(
-    path: PathLike, cost_model: Optional[CostModel], engine: str
-) -> ISLabelIndex:
-    snap = open_snapshot(path)
-    if snap.kind != KIND_UNDIRECTED:
-        raise StorageError(
-            f"{path}: directed snapshot; use load_directed_index"
-        )
-    gk = snap.gk_graph()
-    level_of = _snapshot_coverage(snap, path)
-    k = int(snap.meta.get("k", 1))
-    hierarchy = VertexHierarchy(
-        levels=[{} for _ in range(max(k - 1, 0))],
-        gk=gk,
-        level_of=level_of,
-        sizes=list(snap.meta.get("sizes") or []),
-        sigma=snap.meta.get("sigma"),
-        hints=None,
-    )
-    labels = SnapshotLabels(snap.label_table("lab"))
-    index = ISLabelIndex(
-        hierarchy=hierarchy,
-        labels=labels,
-        preds=None,
-        store=None,
-        cost_model=cost_model or CostModel(),
-        labeling_seconds=0.0,
-    )
-    _attach_snapshot_engine(index, UNDIRECTED, engine, path, gk)
-    return index
-
-
-def _load_directed_snapshot_index(
-    path: PathLike, engine: str
-) -> DirectedISLabelIndex:
-    snap = open_snapshot(path)
-    if snap.kind != KIND_DIRECTED:
-        raise StorageError(f"{path}: undirected snapshot; use load_index")
-    gk = snap.gk_graph()
-    level_of = _snapshot_coverage(snap, path)
-    k = int(snap.meta.get("k", 1))
-    hierarchy = DirectedHierarchy(
-        levels=[{} for _ in range(max(k - 1, 0))],
-        gk=gk,
-        level_of=level_of,
-        sizes=list(snap.meta.get("sizes") or []),
-        sigma=snap.meta.get("sigma"),
-        hints=None,
-    )
-    index = DirectedISLabelIndex(
-        hierarchy=hierarchy,
-        out_labels=SnapshotLabels(snap.label_table("out")),
-        in_labels=SnapshotLabels(snap.label_table("in")),
-        labeling_seconds=0.0,
-    )
-    _attach_snapshot_engine(index, DIRECTED, engine, path, gk)
-    return index
-
-
-# ----------------------------------------------------------------------
-# Dynamic indexes (§8.3): counters + live graph + embedded index dump
-# ----------------------------------------------------------------------
-_DYN_MAGIC = b"ISLY"
-_DYN_DMAGIC = b"ISLZ"
-_DYN_HEADER = struct.Struct("<4sHqqB")  # magic, version, inserts, deletes, approx
-
-
-def save_dynamic_index(dyn: DynamicISLabelIndex, path: PathLike) -> int:
-    """Write a dynamic index (live graph + patched index + counters)."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _DYN_HEADER.pack(
-                _DYN_MAGIC,
-                _VERSION,
-                dyn.inserts_applied,
-                dyn.deletes_applied,
-                1 if dyn.approximate else 0,
-            )
-        )
-        _write_build_kwargs(fh, dyn._build_kwargs)
-        _write_graph(fh, sorted(dyn.graph.vertices()), dyn.graph.edges())
-        _write_index(fh, dyn.index)
-        return fh.tell()
-
-
-def load_dynamic_index(
-    path: PathLike,
-    cost_model: Optional[CostModel] = None,
-    engine: str = "fast",
-) -> DynamicISLabelIndex:
-    """Load a dynamic index saved by :func:`save_dynamic_index`.
-
-    The restored index resumes exactly where it left off: patched labels,
-    staleness counters, the ``approximate`` flag *and the original build
-    parameters* (``k``/``sigma``/``full``/... — so a later ``rebuild()``
-    reproduces the saved configuration) survive.  The selected ``engine``
-    (resolved through the registry, ``"fast"`` by default) serves queries,
-    keeps absorbing §8.3 updates, and is what future rebuilds use.
-    """
-    factory = resolve_engine(UNDIRECTED, engine)
-    with open(path, "rb") as fh:
-        inserts, deletes, approximate = _read_dynamic_header(fh, path, _DYN_MAGIC)
-        build_kwargs = _read_build_kwargs(fh, path)
-        graph = _read_graph(fh, Graph())
-        index = _read_index(fh, path, cost_model)
-    if factory is not None:
-        index.attach_fast_engine(engine)
-    build_kwargs["engine"] = engine
-    return DynamicISLabelIndex.from_parts(
-        graph,
-        index,
-        inserts_applied=inserts,
-        deletes_applied=deletes,
-        approximate=approximate,
-        build_kwargs=build_kwargs,
-    )
-
-
-def save_dynamic_directed_index(
-    dyn: DynamicDirectedISLabelIndex, path: PathLike
-) -> int:
-    """Write a dynamic directed index (live digraph + index + counters)."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _DYN_HEADER.pack(
-                _DYN_DMAGIC,
-                _VERSION,
-                dyn.inserts_applied,
-                dyn.deletes_applied,
-                1 if dyn.approximate else 0,
-            )
-        )
-        _write_build_kwargs(fh, dyn._build_kwargs)
-        _write_graph(fh, sorted(dyn.graph.vertices()), sorted(dyn.graph.edges()))
-        _write_directed_index(fh, dyn.index)
-        return fh.tell()
-
-
-def load_dynamic_directed_index(
-    path: PathLike, engine: str = "fast"
-) -> DynamicDirectedISLabelIndex:
-    """Load a dynamic directed index saved by
-    :func:`save_dynamic_directed_index` (mirrors :func:`load_dynamic_index`)."""
-    factory = resolve_engine(DIRECTED, engine)
-    with open(path, "rb") as fh:
-        inserts, deletes, approximate = _read_dynamic_header(fh, path, _DYN_DMAGIC)
-        build_kwargs = _read_build_kwargs(fh, path)
-        graph = _read_graph(fh, DiGraph())
-        index = _read_directed_index(fh, path)
-    if factory is not None:
-        index.attach_fast_engine(engine)
-    build_kwargs["engine"] = engine
-    return DynamicDirectedISLabelIndex.from_parts(
-        graph,
-        index,
-        inserts_applied=inserts,
-        deletes_applied=deletes,
-        approximate=approximate,
-        build_kwargs=build_kwargs,
-    )
-
-
-def _read_dynamic_header(fh: BinaryIO, path: PathLike, expected: bytes):
-    header = _read_header_bytes(fh, path, _DYN_HEADER.size)
-    magic, version, inserts, deletes, approx = _DYN_HEADER.unpack(header)
-    if magic != expected:
-        raise StorageError(f"{path}: bad magic {magic!r} (not a dynamic index)")
-    if version != _VERSION:
-        raise StorageError(f"{path}: unsupported version {version}")
-    return inserts, deletes, bool(approx)
-
-
-def _write_build_kwargs(fh: BinaryIO, kwargs: Dict) -> None:
-    """Persist the dynamic index's build kwargs (a rebuild() must reproduce
-    the saved configuration).  JSON-encoded; non-JSON values (e.g. a custom
-    ``cost_model`` object) are skipped — those revert to defaults on load."""
-    safe = {}
-    for key, value in kwargs.items():
-        try:
-            json.dumps(value)
-        except (TypeError, ValueError):
-            continue
-        safe[key] = value
-    blob = json.dumps(safe, sort_keys=True).encode("utf-8")
-    _write_count(fh, len(blob))
-    fh.write(blob)
-
-
-def _read_build_kwargs(fh: BinaryIO, path: PathLike) -> Dict:
-    size = _read_count(fh)
-    blob = fh.read(size)
-    if len(blob) != size:
-        raise StorageError(f"{path}: truncated build-kwargs block")
-    return json.loads(blob.decode("utf-8"))
-
-
-def _write_graph(fh: BinaryIO, vertices, edges) -> None:
-    """Write a vertex list + weighted edge/arc list."""
-    _write_count(fh, len(vertices))
-    for v in vertices:
-        fh.write(_COUNT.pack(v))
-    edges = list(edges)
-    _write_count(fh, len(edges))
-    for u, v, w in edges:
-        fh.write(_TRIPLE.pack(u, v, w))
-
-
-def _read_graph(fh: BinaryIO, graph):
-    """Read a graph written by :func:`_write_graph` into ``graph``."""
-    for _ in range(_read_count(fh)):
-        graph.add_vertex(_read_count(fh))
-    for _ in range(_read_count(fh)):
-        u, v, w = _read_triple(fh)
-        graph.add_edge(u, v, w)
-    return graph
-
-
-def _write_count(fh: BinaryIO, value: int) -> None:
-    fh.write(_COUNT.pack(value))
-
-
-def _read_count(fh: BinaryIO) -> int:
-    data = fh.read(_COUNT.size)
-    if len(data) != _COUNT.size:
-        raise StorageError("truncated index file")
-    return _COUNT.unpack(data)[0]
-
-
-def _read_pair(fh: BinaryIO) -> Tuple[int, int]:
-    data = fh.read(_PAIR.size)
-    if len(data) != _PAIR.size:
-        raise StorageError("truncated index file")
-    return _PAIR.unpack(data)
-
-
-def _read_triple(fh: BinaryIO) -> Tuple[int, int, int]:
-    data = fh.read(_TRIPLE.size)
-    if len(data) != _TRIPLE.size:
-        raise StorageError("truncated index file")
-    return _TRIPLE.unpack(data)

@@ -1,12 +1,12 @@
 """Zero-copy label snapshots and the mmap/sharded serving engines.
 
 The labels of a built IS-LABEL index are static after construction
-(§4–§6) — exactly the shape that serves heavy read traffic well.  The
-stream format in :mod:`repro.core.serialization` is engine-independent but
-pays a per-entry parse on every load; this module defines the *serving*
-artifact instead: an on-disk **snapshot** that is nothing but a header, a
-JSON table of contents and 64-byte-aligned raw dumps of the arrays a
-frozen :class:`~repro.core.fastlabels.PackedEngineBase` already holds —
+(§4–§6) — exactly the shape that serves heavy read traffic well.  This
+module defines the one on-disk index format (written through
+:func:`repro.core.serialization.save_snapshot`): a **snapshot** that is
+nothing but a header, a JSON table of contents and 64-byte-aligned raw
+dumps of the arrays a frozen
+:class:`~repro.core.fastlabels.PackedEngineBase` already holds —
 the packed ``int64`` label buffers (keys/indptr/ancestors/distances plus
 the pre-extracted seed arrays; out/in twins for directed), the frozen
 ``G_k`` CSR arrays, and the optional all-pairs table.  Loading is
@@ -107,6 +107,12 @@ _FLAT_FIELDS = (
     "seed_ids",
     "seed_dists",
 )
+
+#: Prefixes of the flat label tables a snapshot file may hold.
+_TABLE_PREFIXES = ("lab", "out", "in")
+
+#: Section dtypes the writer emits (``int64``, ``float64``, ``bool``).
+_DTYPES = frozenset({"<i8", "<f8", "|b1"})
 
 #: Default shard count when a sharded engine spills its own snapshot.
 DEFAULT_SHARDS = 4
@@ -227,13 +233,14 @@ class SnapshotFile:
                     f"(file is {os.path.getsize(self.path)} bytes, "
                     f"TOC claims {toc_len} bytes at offset {toc_offset})"
                 )
+            size = os.fstat(fh.fileno()).st_size
         try:
             toc = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"{path}: corrupt snapshot TOC ({exc})") from None
         self.kind = kind
+        self._toc = _validated_toc(self.path, toc, size)
         self.meta: Dict = toc.get("meta", {})
-        self._toc = {entry["name"]: entry for entry in toc["sections"]}
         self._verified: set = set()
 
     def has(self, name: str) -> bool:
@@ -299,6 +306,69 @@ class SnapshotFile:
         return FlatLabels(
             *(self.array(f"{prefix}_{field}") for field in _FLAT_FIELDS)
         )
+
+
+def _validated_toc(path: str, toc, size: int) -> Dict[str, Dict]:
+    """``{name: entry}`` of a parsed TOC, checked against the file size.
+
+    Reads the TOC alone — no data page is touched, so opening stays
+    O(sections).  Every entry needs a known dtype, a non-negative integer
+    shape and an extent inside the file; each flat label table's
+    ``indptr``/``seed_indptr`` must have ``len(keys) + 1`` rows and its
+    parallel arrays equal lengths.  Any violation raises
+    :class:`StorageError` naming the file and the section.
+    """
+
+    def bad(name, why: str) -> StorageError:
+        return StorageError(f"{path}: corrupt snapshot TOC, section {name!r}: {why}")
+
+    if not isinstance(toc, dict) or not isinstance(toc.get("sections"), list):
+        raise StorageError(f"{path}: corrupt snapshot TOC (no 'sections' list)")
+    if not isinstance(toc.get("meta", {}), dict):
+        raise StorageError(f"{path}: corrupt snapshot TOC ('meta' is not an object)")
+    entries: Dict[str, Dict] = {}
+    for entry in toc["sections"]:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise bad(name, "entry has no name")
+        if entry.get("dtype") not in _DTYPES:
+            raise bad(name, f"unknown dtype {entry.get('dtype')!r}")
+        shape, offset = entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise bad(name, f"bad shape {shape!r}")
+        if type(offset) is not int or offset < 0:
+            raise bad(name, f"bad offset {offset!r}")
+        nbytes = int(np.prod(shape)) * np.dtype(entry["dtype"]).itemsize
+        if offset + nbytes > size:
+            raise bad(
+                name,
+                f"{nbytes} bytes at offset {offset} run past the end "
+                f"of the {size}-byte file",
+            )
+        entries[name] = entry
+    rows = {
+        name: entry["shape"][0] if entry["shape"] else 1
+        for name, entry in entries.items()
+    }
+    for prefix in _TABLE_PREFIXES:
+        keys = rows.get(f"{prefix}_keys")
+        if keys is None:
+            continue
+        for field in _FLAT_FIELDS[1:]:
+            if f"{prefix}_{field}" not in rows:
+                raise bad(f"{prefix}_{field}", "missing from its label table")
+        for field in ("indptr", "seed_indptr"):
+            if rows[f"{prefix}_{field}"] != keys + 1:
+                raise bad(
+                    f"{prefix}_{field}",
+                    f"{rows[f'{prefix}_{field}']} rows for {keys} keys",
+                )
+        for a, b in (("anc", "dist"), ("seed_ids", "seed_dists")):
+            if rows[f"{prefix}_{a}"] != rows[f"{prefix}_{b}"]:
+                raise bad(f"{prefix}_{b}", f"length differs from {prefix}_{a}")
+    return entries
 
 
 # ----------------------------------------------------------------------

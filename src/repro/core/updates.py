@@ -141,7 +141,7 @@ class _DynamicIndexBase:
         """Adopt an existing live graph + index without rebuilding.
 
         Used by :func:`repro.core.serialization.load_dynamic_index` (and
-        its directed twin) to restore saved dynamic state; ``build_kwargs``
+        its directed twin) to restore a dynamic snapshot; ``build_kwargs``
         seed the next :meth:`rebuild` (the engine defaults to the loaded
         index's).
         """

@@ -615,11 +615,18 @@ class RemoteEngineBase:
         failed_at: Optional[float] = None
         last_error: Optional[str] = None
         revive_budget = 1  # one full revive sweep per bucket
+        refresh_budget = 1  # one membership refresh when nobody is usable
         while attempt < self.retry.max_attempts:
             worker = self._pick(bucket, excluded)
             if worker is None:
                 if revive_budget > 0 and self._revive(excluded):
                     revive_budget -= 1
+                    continue
+                if refresh_budget > 0:
+                    # A concurrent refresh may mark the old owners draining
+                    # before it adds their replacements: re-learn the fleet.
+                    refresh_budget -= 1
+                    self._refresh_membership()
                     continue
                 break
             if attempt > 0:

@@ -75,7 +75,7 @@ __all__ = ["ShardServer", "load_serving_index"]
 
 
 def load_serving_index(path: str, engine: str = "sharded"):
-    """Load a stream index or snapshot with the right loader for its kind."""
+    """Load a snapshot with the right loader for its kind."""
     from repro.core.serialization import (
         is_directed_artifact,
         load_directed_index,

@@ -25,6 +25,18 @@ class TestHierarchyReport:
             assert row.peeled == len(index.hierarchy.levels[row.level - 1])
         assert rows[-1].peeled == 0  # the G_k row
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_snapshot_loaded_report_matches_built(self, index, tmp_path, shards):
+        # A loaded snapshot carries no removal adjacency; the per-level
+        # counts must still match the built index's.
+        from repro.core.serialization import load_index, save_snapshot
+
+        path = tmp_path / "report.snap"
+        save_snapshot(index, path, shards=shards)
+        loaded = load_index(path, engine="mmap")
+        assert hierarchy_report(loaded) == hierarchy_report(index)
+        assert describe_index(loaded) == describe_index(index)
+
     def test_graph_sizes_match_trace(self, index):
         rows = hierarchy_report(index)
         for row, size in zip(rows, index.hierarchy.sizes):

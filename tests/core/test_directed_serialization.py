@@ -1,4 +1,4 @@
-"""Unit tests for directed index save/load."""
+"""Unit tests for directed snapshot save/load."""
 
 import math
 import random
@@ -10,7 +10,7 @@ from repro.core.directed import DirectedISLabelIndex
 from repro.core.serialization import (
     load_directed_index,
     load_index,
-    save_directed_index,
+    save_snapshot,
 )
 from repro.errors import StorageError
 from repro.graph.digraph import DiGraph
@@ -38,8 +38,8 @@ def digraph():
 class TestRoundTrip:
     def test_distances_survive(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph)
-        path = tmp_path / "d.isld"
-        written = save_directed_index(index, path)
+        path = tmp_path / "d.snap"
+        written = save_snapshot(index, path)
         assert written == path.stat().st_size
         loaded = load_directed_index(path)
         rng = random.Random(1)
@@ -49,8 +49,8 @@ class TestRoundTrip:
 
     def test_metadata_survives(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph)
-        path = tmp_path / "d.isld"
-        save_directed_index(index, path)
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
         loaded = load_directed_index(path)
         assert loaded.k == index.k
         assert loaded.hierarchy.sizes == index.hierarchy.sizes
@@ -58,8 +58,8 @@ class TestRoundTrip:
 
     def test_labels_identical(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph)
-        path = tmp_path / "d.isld"
-        save_directed_index(index, path)
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
         loaded = load_directed_index(path)
         for v in range(0, 90, 9):
             assert loaded.out_label(v) == index.out_label(v)
@@ -67,8 +67,8 @@ class TestRoundTrip:
 
     def test_path_mode_round_trip(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph, with_paths=True)
-        path = tmp_path / "d.isld"
-        save_directed_index(index, path)
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
         loaded = load_directed_index(path)
         rng = random.Random(2)
         for _ in range(80):
@@ -83,21 +83,21 @@ class TestRoundTrip:
 class TestFailureInjection:
     def test_undirected_loader_rejects_directed_file(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph)
-        path = tmp_path / "d.isld"
-        save_directed_index(index, path)
-        with pytest.raises(StorageError, match="magic"):
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
+        with pytest.raises(StorageError, match="directed snapshot"):
             load_index(path)
 
     def test_directed_loader_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.isld"
+        path = tmp_path / "junk.snap"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(StorageError):
             load_directed_index(path)
 
     def test_truncation_detected(self, digraph, tmp_path):
         index = DirectedISLabelIndex.build(digraph)
-        path = tmp_path / "d.isld"
-        save_directed_index(index, path)
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(StorageError):

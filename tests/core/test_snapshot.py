@@ -12,7 +12,6 @@ from repro.core.directed import DirectedISLabelIndex
 from repro.core.serialization import (
     load_directed_index,
     load_index,
-    save_index,
     save_snapshot,
 )
 from repro.core.snapshot import (
@@ -61,10 +60,10 @@ def snapshot(graph, tmp_path):
 class TestFormat:
     def test_sniffing(self, graph, snapshot, tmp_path):
         index, snap_path = snapshot
-        stream = tmp_path / "g.islx"
-        save_index(index, stream)
+        edge_list = tmp_path / "g.txt"
+        edge_list.write_text("0 1 2\n")
         assert is_snapshot_path(snap_path)
-        assert not is_snapshot_path(stream)
+        assert not is_snapshot_path(edge_list)
         assert not is_snapshot_path(tmp_path / "missing")
 
     def test_sections_are_aligned(self, snapshot):
@@ -159,6 +158,70 @@ class TestFormat:
             snap = SnapshotFile(str(shard_dir / entry["file"]))
             total += len(snap.array("lab_keys"))
         assert total == expected_keys
+
+
+def _rewrite_toc(path, mutate):
+    """Replace a snapshot file's TOC with ``mutate(toc)`` (header patched)."""
+    from repro.core.snapshot import _HEADER
+
+    data = open(path, "rb").read()
+    magic, version, kind, flags, offset, length = _HEADER.unpack(data[: _HEADER.size])
+    toc = mutate(json.loads(data[offset : offset + length]))
+    blob = json.dumps(toc).encode("utf-8")
+    header = _HEADER.pack(magic, version, kind, flags, offset, len(blob))
+    with open(path, "wb") as fh:
+        fh.write(header + data[_HEADER.size : offset] + blob)
+
+
+def _section(toc, name):
+    return next(entry for entry in toc["sections"] if entry["name"] == name)
+
+
+def _offset_past_eof(toc):
+    _section(toc, "lab_anc")["offset"] += 1 << 24
+    return toc
+
+
+def _unknown_dtype(toc):
+    _section(toc, "lab_dist")["dtype"] = "bogus"
+    return toc
+
+
+def _indptr_disagrees(toc):
+    entry = _section(toc, "lab_indptr")
+    entry["shape"] = [entry["shape"][0] // 2]
+    return toc
+
+
+_CORRUPT_TOCS = {
+    "offset-past-eof": (_offset_past_eof, "lab_anc"),
+    "toc-is-a-list": (lambda toc: [toc], None),
+    "no-sections": (lambda toc: {"meta": toc["meta"]}, None),
+    "unknown-dtype": (_unknown_dtype, "lab_dist"),
+    "indptr-disagrees-with-keys": (_indptr_disagrees, "lab_indptr"),
+}
+
+
+class TestCorruptTOC:
+    """A TOC that lies about structure or bounds fails at open as a
+    StorageError naming the file and section — never a raw ValueError,
+    AttributeError, KeyError, TypeError or IndexError."""
+
+    @pytest.mark.parametrize("engine", ["mmap", "fast"])
+    @pytest.mark.parametrize("case", sorted(_CORRUPT_TOCS))
+    def test_corrupt_toc_raises_storage_error(self, graph, tmp_path, case, engine):
+        mutate, section = _CORRUPT_TOCS[case]
+        path = tmp_path / "corrupt.snap"
+        save_snapshot(ISLabelIndex.build(graph), path)
+        _rewrite_toc(path, mutate)
+        vertices = sorted(graph.vertices())
+        with pytest.raises(StorageError) as excinfo:
+            loaded = load_index(path, engine=engine)
+            loaded.distances([(s, t) for s in vertices[:8] for t in vertices[-8:]])
+        message = str(excinfo.value)
+        assert "corrupt.snap" in message
+        if section is not None:
+            assert section in message
 
 
 class TestRoundtrip:

@@ -11,8 +11,7 @@ from repro.core.fastlabels import array_label_entries
 from repro.core.serialization import (
     load_dynamic_directed_index,
     load_dynamic_index,
-    save_dynamic_directed_index,
-    save_dynamic_index,
+    save_snapshot,
 )
 from repro.core.updates import DynamicDirectedISLabelIndex, DynamicISLabelIndex
 from repro.errors import GraphError, QueryError, StaleIndexError, StorageError
@@ -340,8 +339,8 @@ class TestDynamicSerialization:
             verts = sorted(dyn.graph.vertices())
             dyn.insert_vertex(8000 + i, {rng.choice(verts): rng.randint(1, 3)})
         dyn.delete_vertex(2)
-        path = tmp_path / "dyn.islx"
-        save_dynamic_index(dyn, path)
+        path = tmp_path / "dyn.snap"
+        save_snapshot(dyn, path)
         back = load_dynamic_index(path)
         assert back.staleness == dyn.staleness == 6
         assert back.approximate == dyn.approximate
@@ -357,8 +356,8 @@ class TestDynamicSerialization:
 
     def test_undirected_round_trip_dict_engine(self, dyn, tmp_path):
         dyn.insert_vertex(8000, {0: 2})
-        path = tmp_path / "dyn.islx"
-        save_dynamic_index(dyn, path)
+        path = tmp_path / "dyn.snap"
+        save_snapshot(dyn, path)
         back = load_dynamic_index(path, engine="dict")
         assert back.engine == "dict"
         assert back.distance(8000, 0) == dyn.distance(8000, 0)
@@ -373,8 +372,8 @@ class TestDynamicSerialization:
                 {rng.choice(verts): rng.randint(1, 3)},
                 {rng.choice(verts): rng.randint(1, 3)},
             )
-        path = tmp_path / "dyn.isld"
-        save_dynamic_directed_index(ddyn, path)
+        path = tmp_path / "dyn.snap"
+        save_snapshot(ddyn, path)
         back = load_dynamic_directed_index(path)
         assert back.staleness == 4 and back.engine == "fast"
         verts = sorted(ddyn.graph.vertices())
@@ -385,15 +384,15 @@ class TestDynamicSerialization:
         dyn = DynamicISLabelIndex(base_graph, k=5)
         assert dyn.index.k == 5
         dyn.insert_vertex(8000, {0: 1})
-        path = tmp_path / "dyn.islx"
-        save_dynamic_index(dyn, path)
+        path = tmp_path / "dyn.snap"
+        save_snapshot(dyn, path)
         back = load_dynamic_index(path)
         back.rebuild()
         assert back.index.k == 5, "rebuild() must reproduce the saved config"
         assert back.engine == "fast"
 
     def test_wrong_magic_rejected(self, dyn, tmp_path):
-        path = tmp_path / "dyn.islx"
-        save_dynamic_index(dyn, path)
+        path = tmp_path / "dyn.snap"
+        save_snapshot(dyn, path)
         with pytest.raises(StorageError):
             load_dynamic_directed_index(path)

@@ -14,14 +14,14 @@ def edge_list(tmp_path):
 
 @pytest.fixture
 def built(edge_list, tmp_path):
-    index_path = tmp_path / "g.islx"
+    index_path = tmp_path / "g.snap"
     code = main(["build", str(edge_list), "-o", str(index_path), "--with-paths"])
     assert code == 0
     return index_path
 
 
 def test_build_reports_stats(edge_list, tmp_path, capsys):
-    index_path = tmp_path / "out.islx"
+    index_path = tmp_path / "out.snap"
     assert main(["build", str(edge_list), "-o", str(index_path)]) == 0
     out = capsys.readouterr().out
     assert "|V|=5" in out
@@ -29,12 +29,12 @@ def test_build_reports_stats(edge_list, tmp_path, capsys):
 
 
 def test_build_full_mode(edge_list, tmp_path):
-    index_path = tmp_path / "full.islx"
+    index_path = tmp_path / "full.snap"
     assert main(["build", str(edge_list), "-o", str(index_path), "--full"]) == 0
 
 
 def test_build_explicit_k(edge_list, tmp_path, capsys):
-    index_path = tmp_path / "k2.islx"
+    index_path = tmp_path / "k2.snap"
     assert main(["build", str(edge_list), "-o", str(index_path), "--k", "2"]) == 0
     assert "k=2" in capsys.readouterr().out
 
@@ -54,7 +54,7 @@ def test_query_with_path(built, capsys):
 def test_query_disconnected_prints_inf(tmp_path, capsys):
     graph = tmp_path / "disc.txt"
     graph.write_text("1 2\n8 9\n")
-    index_path = tmp_path / "disc.islx"
+    index_path = tmp_path / "disc.snap"
     main(["build", str(graph), "-o", str(index_path)])
     assert main(["query", str(index_path), "1", "9"]) == 0
     assert "inf" in capsys.readouterr().out
@@ -81,7 +81,7 @@ def test_dataset_command(tmp_path, capsys):
 
 def test_dataset_then_build_round_trip(tmp_path):
     data = tmp_path / "wiki.txt"
-    index_path = tmp_path / "wiki.islx"
+    index_path = tmp_path / "wiki.snap"
     assert main(["dataset", "wikitalk", "-o", str(data), "--scale", "0.05"]) == 0
     assert main(["build", str(data), "-o", str(index_path)]) == 0
     assert main(["stats", str(index_path)]) == 0
@@ -96,7 +96,7 @@ def directed_edge_list(tmp_path):
 
 @pytest.fixture
 def built_directed(directed_edge_list, tmp_path):
-    index_path = tmp_path / "dg.isld"
+    index_path = tmp_path / "dg.snap"
     code = main(
         [
             "build-directed",
@@ -111,7 +111,7 @@ def built_directed(directed_edge_list, tmp_path):
 
 
 def test_build_directed_reports_stats(directed_edge_list, tmp_path, capsys):
-    index_path = tmp_path / "out.isld"
+    index_path = tmp_path / "out.snap"
     assert main(["build-directed", str(directed_edge_list), "-o", str(index_path)]) == 0
     out = capsys.readouterr().out
     assert "directed index" in out
@@ -139,7 +139,7 @@ def test_query_directed_with_path(built_directed, capsys):
 
 
 def test_build_directed_engine_flag(directed_edge_list, tmp_path):
-    index_path = tmp_path / "dict.isld"
+    index_path = tmp_path / "dict.snap"
     assert (
         main(
             [
@@ -168,8 +168,44 @@ def test_example_command(capsys):
     assert "dist(h, e) = 3" in out
 
 
+def test_stats_verbose_counts_peeled_vertices(built, capsys):
+    assert main(["stats", str(built), "-v"]) == 0
+    rows = [
+        line.split()
+        for line in capsys.readouterr().out.splitlines()
+        if line.split() and line.split()[0].isdigit()
+    ]
+    assert rows and rows[-1][1] == "(G_k)"
+    assert all(int(row[1]) > 0 for row in rows[:-1])
+
+
+def test_snapshot_relayout_keeps_path_state(built, tmp_path, capsys):
+    shards = tmp_path / "g.shards"
+    assert main(["snapshot", str(built), "-o", str(shards), "--shards", "2"]) == 0
+    assert main(["query", str(shards), "1", "5", "--path", "--engine", "sharded"]) == 0
+    out = capsys.readouterr().out
+    assert "dist(1, 5) = 9" in out
+    assert "->" in out
+
+
+def test_snapshot_relayout_keeps_dynamic_state(edge_list, tmp_path):
+    from repro.core.serialization import load_dynamic_index, save_snapshot
+    from repro.core.updates import DynamicISLabelIndex
+    from repro.graph.io import read_edge_list
+
+    dyn = DynamicISLabelIndex(read_edge_list(edge_list))
+    dyn.insert_vertex(6, {5: 2})
+    single = tmp_path / "dyn.snap"
+    shards = tmp_path / "dyn.shards"
+    save_snapshot(dyn, single)
+    assert main(["snapshot", str(single), "-o", str(shards), "--shards", "2"]) == 0
+    back = load_dynamic_index(shards)
+    assert back.inserts_applied == 1
+    assert back.distance(1, 6) == dyn.distance(1, 6) == 11
+
+
 def test_missing_file_fails_cleanly(tmp_path, capsys):
-    assert main(["stats", str(tmp_path / "ghost.islx")]) == 2
+    assert main(["stats", str(tmp_path / "ghost.snap")]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -192,7 +228,7 @@ class TestServeCommands:
 
     @pytest.fixture()
     def sharded_snapshot(self, edge_list, tmp_path):
-        index_path = tmp_path / "srv.islx"
+        index_path = tmp_path / "srv.snap"
         snap_path = tmp_path / "srv.shards"
         assert main(["build", str(edge_list), "-o", str(index_path)]) == 0
         assert (

@@ -9,7 +9,7 @@ from repro.baselines.pruned_landmark import PrunedLandmarkIndex
 from repro.baselines.vc_index import VCIndex
 from repro.core.index import ISLabelIndex
 from repro.core.paths import PathReconstructor, path_length
-from repro.core.serialization import load_index, save_index
+from repro.core.serialization import load_index, save_snapshot
 from repro.workloads.datasets import DATASET_NAMES, load_dataset
 from repro.workloads.queries import random_query_pairs
 
@@ -39,8 +39,8 @@ def test_all_systems_agree_on_every_dataset(name):
 def test_build_query_save_load_cycle(name, tmp_path):
     graph = load_dataset(name, SCALE)
     index = ISLabelIndex.build(graph, with_paths=True)
-    file_path = tmp_path / f"{name}.islx"
-    save_index(index, file_path)
+    file_path = tmp_path / f"{name}.snap"
+    save_snapshot(index, file_path)
     loaded = load_index(file_path)
 
     reconstructor = PathReconstructor(loaded)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from repro.baselines.dijkstra import dijkstra_digraph
 from repro.core.directed import DirectedISLabelIndex
 from repro.core.query import label_bidijkstra
-from repro.core.serialization import load_directed_index, save_directed_index
+from repro.core.serialization import load_directed_index, save_snapshot
 from tests.properties.strategies import digraphs
 
 
@@ -148,10 +148,10 @@ def test_directed_serialization_round_trip_engines_agree(dg):
     index = DirectedISLabelIndex.build(dg)
     pairs = _all_pairs(dg)
     expected = index.distances(pairs)
-    fd, path = tempfile.mkstemp(suffix=".isld")
+    fd, path = tempfile.mkstemp(suffix=".snap")
     os.close(fd)
     try:
-        save_directed_index(index, path)
+        save_snapshot(index, path)
         loaded_fast = load_directed_index(path)  # engine="fast" default
         loaded_ref = load_directed_index(path, engine="dict")
         assert loaded_fast.engine == "fast" and loaded_ref.engine == "dict"
@@ -191,8 +191,6 @@ def test_directed_snapshot_engines_agree(dg):
     snapshot→load→query roundtrips of both layouts; digraphs may be
     unreachable in either direction, exercising ``inf`` answers.
     """
-    from repro.core.serialization import save_snapshot
-
     ref = DirectedISLabelIndex.build(dg, engine="dict")
     pairs = _all_pairs(dg)
     expected = ref.distances(pairs)

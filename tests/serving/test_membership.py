@@ -312,6 +312,41 @@ class TestStrictOwnership:
             for srv in (a, c):
                 srv.shutdown()
 
+    def test_slow_discovery_dial_keeps_concurrent_buckets_alive(
+        self, shard_path, expected, monkeypatch
+    ):
+        """While one refresh is still dialing the replacement owner, the
+        old owner already reads as draining; a concurrent bucket that
+        finds nobody usable must re-learn the fleet, not give up."""
+        from repro.serving import remote
+
+        pairs, want = expected
+        a = ShardServer(load_serving_index(shard_path), strict=True)
+        c = ShardServer(load_serving_index(shard_path), strict=True, epoch=1)
+        for srv in (a, c):
+            srv.start()
+        connect = remote._Worker.connect
+
+        def slow_connect(worker):
+            if worker.id == c.worker_id:
+                time.sleep(0.3)  # widen the refresh's discovery window
+            connect(worker)
+
+        monkeypatch.setattr(remote._Worker, "connect", slow_connect)
+        try:
+            with RemoteEngine(addresses=[a.address]) as engine:
+                everything = list(range(len(a.shard_starts)))
+                _rpc(
+                    a.address,
+                    {"op": "join", "worker": c.worker_id, "owned": everything,
+                     "epoch": 1},
+                )
+                _rpc(a.address, {"op": "leave", "worker": a.worker_id, "epoch": 2})
+                assert engine.distances(pairs) == want
+        finally:
+            for srv in (a, c):
+                srv.shutdown()
+
 
 class TestHeartbeat:
     def test_heartbeat_marks_dead_and_revives(self, shard_path, expected):
