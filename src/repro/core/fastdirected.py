@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.engines import CAP_LOCAL, DIRECTED, register_engine
 from repro.core.fastlabels import (
     ArrayLabel,
@@ -46,6 +47,7 @@ from repro.core.fastlabels import (
     _ThreadPools,
     apsp_ceiling,
     eq1_merge,
+    label_views,
 )
 from repro.core.labels import eq1_distance_argmin
 from repro.graph.csr import CSRDiGraph
@@ -159,11 +161,11 @@ class DirectedFastEngine(PackedEngineBase):
     # Backwards-compatible views of the frozen tables (tests/debugging).
     @property
     def out_labels(self) -> Dict[int, ArrayLabel]:
-        return self.out_table.labels if self.out_table is not None else {}
+        return label_views(self.out_table) if self.out_table is not None else {}
 
     @property
     def in_labels(self) -> Dict[int, ArrayLabel]:
-        return self.in_table.labels if self.in_table is not None else {}
+        return label_views(self.in_table) if self.in_table is not None else {}
 
     def _num_labels(self) -> int:
         return len(self.out_lists) + len(self.in_lists)
@@ -209,6 +211,16 @@ class DirectedFastEngine(PackedEngineBase):
         if got is not None:
             return got
         return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+    def out_span(self, v: int) -> Tuple:
+        """``out_label(v)`` as a registered-backing span (frozen engine)."""
+        got = self.out_table.span(v)
+        return got if got is not None else (kernels.IMPLICIT, v, 1)
+
+    def in_span(self, v: int) -> Tuple:
+        """``in_label(v)`` as a registered-backing span (frozen engine)."""
+        got = self.in_table.span(v)
+        return got if got is not None else (kernels.IMPLICIT, v, 1)
 
     def eq1(self, source: int, target: int) -> Tuple[float, int]:
         """Equation 1 over ``LABEL_out(source)`` ∩ ``LABEL_in(target)``.
@@ -270,6 +282,8 @@ class DirectedFastEngine(PackedEngineBase):
     # CSR arrays.
     _label_f = out_label
     _label_r = in_label
+    _span_f = out_span
+    _span_r = in_span
     _seeds_f = seeds_out
     _seeds_r = seeds_in
     _seeds_f_np = seeds_out_np

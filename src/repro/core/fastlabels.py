@@ -8,9 +8,11 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
 
 * all labels live in **one packed pair of parallel ``int64`` arrays**
   (ancestors, distances) sorted by ancestor id within each label — the
-  paper's on-disk layout (§6.2); per-vertex labels are zero-copy views, so
-  freezing the engine is a single batch conversion, and Equation 1 is a
-  merge over two sorted arrays;
+  paper's on-disk layout (§6.2), registered once with the compiled
+  kernels; a label is a span ``(buffer, offset, length)`` of that pair
+  (zero-copy views are cut from it on demand), so freezing the engine is
+  a single batch conversion, and Equation 1 is a merge over two sorted
+  arrays;
 * :func:`fast_top_down_labels` runs Algorithm 4's merge as a sorted-array
   k-way min-merge (``np.lexsort`` + first-of-group selection) whenever the
   merged label is large, falling back to the dict merge below the measured
@@ -51,6 +53,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -334,25 +337,27 @@ def pack_entry_lists(
     prebuilt: Dict[int, ArrayLabel],
     gk_ids: np.ndarray,
 ):
-    """Freeze entry-list labels into packed arrays plus dense ``G_k`` seeds.
+    """Freeze entry-list labels into one packed backing plus dense ``G_k`` seeds.
 
     The shared engine-freeze primitive behind both the undirected
-    :class:`FastEngine` and the directed engine's two label tables.  Labels
-    already merged vectorially (``prebuilt``) are adopted as-is; the rest
-    (the small-label majority) become views over two backing arrays built
-    with one batched conversion.  The concatenated ancestor array then
-    drives the vectorized seed extraction: the dense id of a ``G_k`` vertex
-    equals its rank among the sorted ``G_k`` ids (CSR order), so membership
-    and dense translation come from a single ``searchsorted`` over all
-    labels at once.
+    :class:`FastEngine` and the directed engine's two label tables.  Every
+    label is laid end to end in one ``anc``/``dist`` pair: labels already
+    merged vectorially (``prebuilt``) are copied in as they are, and the
+    rest (the small-label majority) come from one batched conversion.  The
+    pair is registered with :func:`repro.core.kernels.register_labels`
+    once, and each label is a span of it.  The same ancestor array then
+    drives the vectorized seed extraction: the dense id of a ``G_k``
+    vertex equals its rank among the sorted ``G_k`` ids (CSR order), so
+    membership and dense translation come from a single ``searchsorted``
+    over all labels at once.
 
-    Returns ``(labels, seed_ids, seed_dists, seed_ids_np, seed_dists_np)``
-    keyed by vertex: the packed :data:`ArrayLabel` per vertex and its
-    Algorithm-1 seeds as Python lists and as numpy arrays.
+    Returns ``(spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np)``
+    keyed by vertex: each label's span ``(buffer, offset, length)`` of the
+    registered :class:`repro.core.kernels.LabelBuffer` and its Algorithm-1
+    seeds as Python lists and as numpy arrays.
     """
     n = len(gk_ids)
     order = list(entry_lists)
-    labels: Dict[int, ArrayLabel] = {}
     seed_ids: Dict[int, List[int]] = {}
     seed_dists: Dict[int, List[int]] = {}
     seed_ids_np: Dict[int, np.ndarray] = {}
@@ -361,39 +366,44 @@ def pack_entry_lists(
     counts: List[int] = []
     flat_anc: List[int] = []
     flat_d: List[int] = []
-    packed: List[Tuple[int, int]] = []  # (order position, start offset)
-    for i, v in enumerate(order):
+    # The backing in label order: prebuilt labels, and slices of the
+    # converted entries for the runs between them.
+    parts: list = []
+    run = 0
+    for v in order:
         entries = entry_lists[v]
         counts.append(len(entries))
         ready = prebuilt.get(v)
-        if ready is not None:
-            labels[v] = ready
+        if ready is None:
+            if entries:
+                anc, d = zip(*entries)
+                flat_anc.extend(anc)
+                flat_d.extend(d)
             continue
-        packed.append((i, len(flat_anc)))
-        if entries:
-            anc, d = zip(*entries)
-            flat_anc.extend(anc)
-            flat_d.extend(d)
-    pack_anc = np.array(flat_anc, dtype=np.int64)
-    pack_d = np.array(flat_d, dtype=np.int64)
-    for i, start in packed:
-        v = order[i]
-        labels[v] = (
-            pack_anc[start : start + counts[i]],
-            pack_d[start : start + counts[i]],
-        )
+        parts.append(slice(run, len(flat_anc)))
+        parts.append(ready)
+        run = len(flat_anc)
+    all_anc = np.array(flat_anc, dtype=np.int64)
+    all_d = np.array(flat_d, dtype=np.int64)
+    if parts:
+        parts.append(slice(run, len(flat_anc)))
+        pieces = [(all_anc[p], all_d[p]) if type(p) is slice else p for p in parts]
+        all_anc = np.concatenate([anc for anc, _ in pieces])
+        all_d = np.concatenate([d for _, d in pieces])
+    buffer = kernels.register_labels(all_anc, all_d)
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    spans = dict(zip(order, zip(repeat(buffer), indptr[:-1].tolist(), counts)))
 
-    total = sum(counts)
+    total = len(all_anc)
     if n == 0 or total == 0:
         for v in order:
             seed_ids[v] = []
             seed_dists[v] = []
             seed_ids_np[v] = _EMPTY
             seed_dists_np[v] = _EMPTY
-        return labels, seed_ids, seed_dists, seed_ids_np, seed_dists_np
+        return spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np
 
-    all_anc = np.concatenate([labels[v][0] for v in order])
-    all_d = np.concatenate([labels[v][1] for v in order])
     pos = np.searchsorted(gk_ids, all_anc)
     pos[pos == n] = 0  # clamp before the gather; equality below rejects these
     mask = gk_ids[pos] == all_anc
@@ -414,7 +424,7 @@ def pack_entry_lists(
         seed_ids_np[v] = sel_pos[start:stop]
         seed_dists_np[v] = sel_d[start:stop]
         start = stop
-    return labels, seed_ids, seed_dists, seed_ids_np, seed_dists_np
+    return spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np
 
 
 class FlatLabels(NamedTuple):
@@ -439,52 +449,63 @@ class FlatLabels(NamedTuple):
 
 
 class LabelTable:
-    """One frozen label table: per-vertex array labels plus dense seeds.
+    """One frozen label table: per-vertex label spans plus dense seeds.
 
-    The buffer-agnostic view struct behind the packed engines.  Two ways
-    to come alive:
+    The buffer-agnostic view struct behind the packed engines.  Every
+    label is a span ``(buffer, offset, length)`` of a backing ``anc``/
+    ``dist`` pair registered once with :mod:`repro.core.kernels` (see
+    :func:`repro.core.kernels.register_labels`); the compiled table stage
+    reads labels by span, and :meth:`label` cuts (and caches) the array
+    views the reference path reads.  Two ways to come alive:
 
     * :meth:`pack` freezes live entry lists on the heap via
-      :func:`pack_entry_lists` (the build/load-from-stream path);
+      :func:`pack_entry_lists` into one backing (the build path);
     * :meth:`from_flat` adopts a :class:`FlatLabels` whose arrays may be
-      ``np.memmap`` views over a snapshot file — per-vertex views are then
-      materialized *lazily* on first touch (one ``searchsorted`` + two
-      slices, no per-entry parsing), so a cold load costs O(1) and the OS
-      page cache faults in only the labels a workload actually reads.
+      views over a snapshot file — its ``anc``/``dist`` pair is the
+      backing, and spans and seeds are looked up *lazily* on first touch
+      (one ``searchsorted``, no per-entry parsing), so a cold load costs
+      O(1) and the OS page cache faults in only the labels a workload
+      actually reads.
 
-    Either way the query accessors (:meth:`label`, :meth:`seeds`,
-    :meth:`seeds_np`) and the §8.3 incremental repair (:meth:`repack`,
-    which splices freshly packed heap arrays over the stale views and
+    Either way the query accessors (:meth:`span`, :meth:`label`,
+    :meth:`seeds`, :meth:`seeds_np`) and the §8.3 incremental repair
+    (:meth:`repack`, which packs the dirty labels into a fresh backing and
     evicts deleted vertices) run the same code path: the per-vertex dicts
     double as the override/cache layer in front of the optional flat
     backing.
     """
 
     __slots__ = (
+        "spans",
         "labels",
         "seed_ids",
         "seed_dists",
         "seed_ids_np",
         "seed_dists_np",
         "flat",
+        "_flat_buffer",
         "_gone",
     )
 
     def __init__(
         self,
-        labels: Optional[Dict[int, ArrayLabel]] = None,
+        spans: Optional[Dict[int, Tuple]] = None,
         seed_ids: Optional[Dict[int, List[int]]] = None,
         seed_dists: Optional[Dict[int, List[int]]] = None,
         seed_ids_np: Optional[Dict[int, np.ndarray]] = None,
         seed_dists_np: Optional[Dict[int, np.ndarray]] = None,
         flat: Optional[FlatLabels] = None,
     ) -> None:
-        self.labels = {} if labels is None else labels
+        self.spans = {} if spans is None else spans
+        self.labels: Dict[int, ArrayLabel] = {}
         self.seed_ids = {} if seed_ids is None else seed_ids
         self.seed_dists = {} if seed_dists is None else seed_dists
         self.seed_ids_np = {} if seed_ids_np is None else seed_ids_np
         self.seed_dists_np = {} if seed_dists_np is None else seed_dists_np
         self.flat = flat
+        self._flat_buffer = (
+            None if flat is None else kernels.register_labels(flat.anc, flat.dist)
+        )
         self._gone: set = set()
 
     @classmethod
@@ -494,59 +515,55 @@ class LabelTable:
 
     @classmethod
     def from_flat(cls, flat: FlatLabels) -> "LabelTable":
-        """Adopt flat (possibly memmapped) arrays; views materialize lazily.
-
-        ``np.memmap`` inputs are re-wrapped as plain ``ndarray`` views
-        (zero-copy — same mapped buffer, kept alive through ``.base``, and
-        pages still fault lazily): the memmap *subclass* carries heavy
-        ``__array_finalize__``/``__getitem__`` machinery that would
-        otherwise dominate per-label view materialization on the serving
-        hot path.
-        """
-        return cls(flat=FlatLabels(*(np.asarray(arr) for arr in flat)))
+        """Adopt flat (possibly file-mapped) arrays; registers the
+        ``anc``/``dist`` backing, and spans and seeds materialize lazily."""
+        return cls(flat=flat)
 
     # ------------------------------------------------------------------
     # Query accessors
     # ------------------------------------------------------------------
     def _flat_pos(self, v: int) -> int:
+        if self.flat is None or v in self._gone:
+            return -1
         keys = self.flat.keys
         i = int(np.searchsorted(keys, v))
         if i < len(keys) and int(keys[i]) == v:
             return i
         return -1
 
-    def _materialize(self, v: int, i: int) -> None:
-        """Cache the label and numpy-seed views of flat position ``i``."""
-        flat = self.flat
-        lo, hi = int(flat.indptr[i]), int(flat.indptr[i + 1])
-        self.labels[v] = (flat.anc[lo:hi], flat.dist[lo:hi])
-        lo, hi = int(flat.seed_indptr[i]), int(flat.seed_indptr[i + 1])
-        self.seed_ids_np[v] = flat.seed_ids[lo:hi]
-        self.seed_dists_np[v] = flat.seed_dists[lo:hi]
-
-    def label(self, v: int) -> Optional[ArrayLabel]:
-        """Array label of ``v``, or ``None`` when the table has none."""
-        got = self.labels.get(v)
-        if got is not None:
-            return got
-        if self.flat is not None and v not in self._gone:
+    def span(self, v: int) -> Optional[Tuple]:
+        """``(buffer, offset, length)`` of ``v``'s label, or ``None``."""
+        got = self.spans.get(v)
+        if got is None:
             i = self._flat_pos(v)
             if i >= 0:
-                self._materialize(v, i)
-                return self.labels[v]
-        return None
+                lo, hi = int(self.flat.indptr[i]), int(self.flat.indptr[i + 1])
+                got = self.spans[v] = (self._flat_buffer, lo, hi - lo)
+        return got
+
+    def label(self, v: int) -> Optional[ArrayLabel]:
+        """Array label of ``v`` (views of its backing), or ``None``."""
+        got = self.labels.get(v)
+        if got is None:
+            span = self.span(v)
+            if span is None:
+                return None
+            got = self.labels[v] = _cut(span)
+        return got
 
     def seeds_np(self, v: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Dense-id seeds of ``v`` as numpy arrays, or ``None``."""
         ids = self.seed_ids_np.get(v)
         if ids is not None:
             return ids, self.seed_dists_np[v]
-        if self.label(v) is None:
+        i = self._flat_pos(v)
+        if i < 0:
             return None
-        ids = self.seed_ids_np.get(v)
-        if ids is None:
-            return None
-        return ids, self.seed_dists_np[v]
+        flat = self.flat
+        lo, hi = int(flat.seed_indptr[i]), int(flat.seed_indptr[i + 1])
+        ids = self.seed_ids_np[v] = flat.seed_ids[lo:hi]
+        dists = self.seed_dists_np[v] = flat.seed_dists[lo:hi]
+        return ids, dists
 
     def seeds(self, v: int) -> Optional[Tuple[List[int], List[int]]]:
         """The seeds as Python lists (scalar search loop); lazily cached."""
@@ -566,42 +583,39 @@ class LabelTable:
     # §8.3 incremental repair
     # ------------------------------------------------------------------
     def repack(self, dirty, lists, gk_ids: np.ndarray) -> None:
-        """Splice freshly packed arrays for ``dirty`` over this table.
+        """Pack the labels of ``dirty`` into a fresh backing over this table.
 
         ``lists`` is the live entry-list dict (shared with the index
         facade, so it already reflects the mutations).  Dirty vertices
-        present in ``lists`` get new array views (packed into a fresh
-        backing pair — clean vertices keep their existing views); dirty
+        present in ``lists`` get spans of one new registered backing pair
+        (clean vertices keep theirs, and their cached views); dirty
         vertices that disappeared (§8.3 deletions) are evicted, including
         from any flat backing.
         """
         present = {v: lists[v] for v in dirty if v in lists}
         packed = pack_entry_lists(present, {}, gk_ids)
-        for target, fresh in zip(
-            (
-                self.labels,
-                self.seed_ids,
-                self.seed_dists,
-                self.seed_ids_np,
-                self.seed_dists_np,
-            ),
-            packed,
-        ):
+        for target, fresh in zip(self._per_vertex(), packed):
             target.update(fresh)
+        for v in dirty:
+            self.labels.pop(v, None)
         if self.flat is not None:
             self._gone.difference_update(present)
         for v in dirty:
             if v not in present:
-                for target in (
-                    self.labels,
-                    self.seed_ids,
-                    self.seed_dists,
-                    self.seed_ids_np,
-                    self.seed_dists_np,
-                ):
+                for target in self._per_vertex():
                     target.pop(v, None)
                 if self.flat is not None:
                     self._gone.add(v)
+
+    def _per_vertex(self) -> tuple:
+        """The per-vertex dicts, in :func:`pack_entry_lists` result order."""
+        return (
+            self.spans,
+            self.seed_ids,
+            self.seed_dists,
+            self.seed_ids_np,
+            self.seed_dists_np,
+        )
 
     # ------------------------------------------------------------------
     # Introspection / flattening
@@ -609,60 +623,88 @@ class LabelTable:
     def num_labels(self) -> int:
         if self.flat is not None:
             return len(self.flat.keys)
-        return len(self.labels)
+        return len(self.spans)
 
     def nbytes(self) -> int:
         if self.flat is not None:
             return int(self.flat.anc.nbytes + self.flat.dist.nbytes)
-        total = 0
-        for anc, d in self.labels.values():
-            total += int(anc.nbytes + d.nbytes)
-        return total
+        # Two int64 arrays per label.
+        return 16 * sum(length for _, _, length in self.spans.values())
 
     def vertex_ids(self) -> List[int]:
         """Sorted vertex ids carrying a label (overrides + flat backing)."""
         if self.flat is None:
-            return sorted(self.labels)
+            return sorted(self.spans)
         ids = set(self.flat.keys.tolist())
         ids.difference_update(self._gone)
-        ids.update(self.labels)
+        ids.update(self.spans)
         return sorted(ids)
 
     def to_flat(self) -> FlatLabels:
         """Flatten the current state into :class:`FlatLabels`.
 
-        Used when writing snapshots; materializes every label, so call it
-        on the heap-frozen (or fully patched) state, not in a hot path.
+        Used when writing snapshots, not in a hot path.
         """
-        keys = self.vertex_ids()
-        indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        seed_indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        anc_parts: List[np.ndarray] = []
-        dist_parts: List[np.ndarray] = []
-        sid_parts: List[np.ndarray] = []
-        sd_parts: List[np.ndarray] = []
-        for j, v in enumerate(keys):
-            anc, d = self.label(v)
-            ids, dists = self.seeds_np(v)
-            anc_parts.append(anc)
-            dist_parts.append(d)
-            sid_parts.append(ids)
-            sd_parts.append(dists)
-            indptr[j + 1] = indptr[j] + len(anc)
-            seed_indptr[j + 1] = seed_indptr[j] + len(ids)
+        return flatten_table(self)
 
-        def _cat(parts: List[np.ndarray]) -> np.ndarray:
-            return np.concatenate(parts) if parts else _EMPTY.copy()
 
-        return FlatLabels(
-            np.array(keys, dtype=np.int64),
-            indptr,
-            _cat(anc_parts),
-            _cat(dist_parts),
-            seed_indptr,
-            _cat(sid_parts),
-            _cat(sd_parts),
-        )
+def _cut(span) -> ArrayLabel:
+    """The ``(ancestors, dists)`` views a label span covers."""
+    buffer, lo, length = span
+    return buffer.anc[lo : lo + length], buffer.dist[lo : lo + length]
+
+
+def label_views(table) -> Dict[int, ArrayLabel]:
+    """Every label of any label table as array views (cut and cached):
+    the engines' ``labels`` debugging aid, which touches the whole table."""
+    return {v: table.label(v) for v in table.vertex_ids()}
+
+
+def flatten_table(table) -> FlatLabels:
+    """:class:`FlatLabels` of any label table (``vertex_ids``, ``span``
+    and ``seeds_np`` accessors), in sorted vertex order."""
+    keys = table.vertex_ids()
+    n = len(keys)
+    spans = [table.span(v) for v in keys]
+    seeds = [table.seeds_np(v) for v in keys]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((span[2] for span in spans), np.int64, n), out=indptr[1:])
+    seed_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((len(ids) for ids, _ in seeds), np.int64, n), out=seed_indptr[1:])
+
+    def _cat(parts: List[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else _EMPTY.copy()
+
+    return FlatLabels(
+        np.array(keys, dtype=np.int64),
+        indptr,
+        *_gather(spans, indptr),
+        seed_indptr,
+        _cat([ids for ids, _ in seeds]),
+        _cat([dists for _, dists in seeds]),
+    )
+
+
+def _gather(spans, indptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(anc, dist)`` of the labels ``spans`` cover, laid end to end at
+    ``indptr``: one fancy-index gather per backing, no per-label arrays."""
+    lengths = np.diff(indptr)
+    backings: Dict = {}
+    which = np.repeat(
+        np.fromiter((backings.setdefault(s[0], len(backings)) for s in spans), np.int64, len(spans)),
+        lengths,
+    )
+    starts = np.fromiter((s[1] for s in spans), np.int64, len(spans))
+    source = np.repeat(starts - indptr[:-1], lengths) + np.arange(int(indptr[-1]))
+    anc = np.empty(len(source), dtype=np.int64)
+    dist = np.empty(len(source), dtype=np.int64)
+    by_backing = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[by_backing], np.arange(len(backings) + 1))
+    for buffer, k in backings.items():
+        at = by_backing[bounds[k] : bounds[k + 1]]
+        anc[at] = buffer.anc[source[at]]
+        dist[at] = buffer.dist[source[at]]
+    return anc, dist
 
 
 def fast_top_down_labels(
@@ -808,7 +850,9 @@ class PackedEngineBase:
     with is one code path parameterized by orientation: the subclass
     supplies ``eq1``, the per-side label accessors (``_label_f`` /
     ``_label_r``: Equation-1 inputs for a forward endpoint and a reverse
-    endpoint), the per-side seed accessors (``_seeds_f[_np]`` /
+    endpoint) and their span twins (``_span_f`` / ``_span_r``: the same
+    labels as registered-backing spans, for the table kernels), the
+    per-side seed accessors (``_seeds_f[_np]`` /
     ``_seeds_r[_np]``) and :meth:`_search_arrays` (forward CSR triple plus
     the reverse triple — ``None`` s for an undirected graph, where one
     adjacency serves both directions).  This base then implements the
@@ -1104,7 +1148,8 @@ class PackedEngineBase:
         no ``G_k`` seed (Equation 1 alone is exact); ``stats`` are the CSR
         search's counters (``None`` on the table stage).  In table mode
         with the compiled module, :func:`repro.core.kernels.table_query`
-        runs all three stages in one call; otherwise :meth:`eq1`, the
+        runs all three stages in one call over the two labels' spans
+        (``_span_f``/``_span_r``); otherwise :meth:`eq1`, the
         pre-extracted seeds and :meth:`search_distance` (or the CSR search)
         run here.  This is the one staging of a single query:
         :meth:`distance` returns its distance and
@@ -1118,13 +1163,13 @@ class PackedEngineBase:
         table = self._apsp is not None
         if table and kernels.BACKEND == "c":
             distance, used_search = kernels.table_query(
-                self._label_f(source),
-                self._label_r(target),
+                self._span_f(source),
+                self._span_r(target),
                 self.csr.ids_array,
                 self._apsp,
                 self._apsp_done,
                 self._fill_apsp_row,
-                self.pool,
+                self._pools.pool,
             )
             return distance, used_search, None
         mu0, _ = self.eq1(source, target)
@@ -1158,8 +1203,9 @@ class PackedEngineBase:
 
         In table mode with the compiled module,
         :func:`repro.core.kernels.table_batch` answers the whole batch in
-        one call.  Otherwise stage 1 runs :func:`batch_eq1` once over the
-        stacked label arrays (one ``searchsorted``, one scatter-min); in
+        one call over the pairs' label spans.  Otherwise stage 1 runs
+        :func:`batch_eq1` once over the stacked label arrays (one
+        ``searchsorted``, one scatter-min); in
         table mode stage 2 vectorizes across the batch too
         (:func:`batch_table_stage`), and in CSR mode it reuses the
         thread's pooled search buffers across every remaining pair.
@@ -1177,12 +1223,10 @@ class PackedEngineBase:
             distance = self.staged(*pairs[i])[0]
             out[i] = int(distance) if distance != math.inf else math.inf
             return out
-        labels_f = [self._label_f(pairs[i][0]) for i in live]
-        labels_r = [self._label_r(pairs[i][1]) for i in live]
         if self._apsp is not None and kernels.BACKEND == "c":
             answers = kernels.table_batch(
-                labels_f,
-                labels_r,
+                [self._span_f(pairs[i][0]) for i in live],
+                [self._span_r(pairs[i][1]) for i in live],
                 self.csr.ids_array,
                 self._apsp,
                 self._apsp_done,
@@ -1192,6 +1236,8 @@ class PackedEngineBase:
             for i, answer in zip(live, answers):
                 out[i] = answer
             return out
+        labels_f = [self._label_f(pairs[i][0]) for i in live]
+        labels_r = [self._label_r(pairs[i][1]) for i in live]
         mu0s = batch_eq1(labels_f, labels_r)
         if self._apsp is not None:
             seeds_f = [self._seeds_f_np(pairs[i][0]) for i in live]
@@ -1346,10 +1392,10 @@ class FastEngine(PackedEngineBase):
         self._apsp = None
         self._apsp_done = None
 
-    # Backwards-compatible views of the frozen table (tests and debugging).
+    # Backwards-compatible view of the frozen table (tests and debugging).
     @property
     def labels(self) -> Dict[int, ArrayLabel]:
-        return self.table.labels if self.table is not None else {}
+        return label_views(self.table) if self.table is not None else {}
 
     def _forget_packed(self, dirty) -> None:
         """Pre-freeze invalidation: only the pre-merged arrays can be stale."""
@@ -1383,6 +1429,13 @@ class FastEngine(PackedEngineBase):
         if got is not None:
             return got
         return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+    def label_span(self, v: int) -> Tuple:
+        """``label(v)`` as a span ``(buffer, offset, length)`` of a
+        registered backing (:data:`repro.core.kernels.IMPLICIT` for bare
+        ``G_k`` ids); requires a frozen engine."""
+        got = self.table.span(v)
+        return got if got is not None else (kernels.IMPLICIT, v, 1)
 
     def eq1(self, source: int, target: int) -> Tuple[float, int]:
         """Equation 1 between two labels: ``(distance, argmin ancestor)``.
@@ -1426,6 +1479,8 @@ class FastEngine(PackedEngineBase):
     # the same label table and one adjacency serves both searches.
     _label_f = label
     _label_r = label
+    _span_f = label_span
+    _span_r = label_span
     _seeds_f = seeds
     _seeds_r = seeds
     _seeds_f_np = seeds_np

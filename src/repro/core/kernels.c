@@ -18,7 +18,9 @@
  * lying in G_k, as dense ids) and Theorem 4's reduction
  * min(mu0, min (table[a,b] + d_a) + d_b), summed in float64 in numpy's
  * order.  They read the lazily filled table but never fill it: a missing
- * row goes back to Python.
+ * row goes back to Python.  A label reaches them as a span (offset,
+ * length) of a registered isl_labels backing, the anc/dist pair a label
+ * table keeps, so a query passes integers, not buffers.
  *
  * No Python object is touched here: cffi releases the GIL for every call,
  * so one isl_scratch must never be shared by two threads at once.
@@ -245,6 +247,45 @@ int isl_bidijkstra(
  * Table mode: Equation 1, seeds and the G_k table in one call
  * ------------------------------------------------------------------- */
 
+/* A label table's backing pair, registered once by kernels.py: label
+ * entries anc[i]/dist[i] for 0 <= i < len, each label a contiguous span. */
+typedef struct {
+    const int64_t *anc;
+    const int64_t *dist;
+    int64_t len;
+} isl_labels;
+
+/* The G_k side of the table stage, checked and wrapped once per thread
+ * and array set by kernels.py: the n sorted G_k ids (dense id = rank),
+ * the lazily filled n x n table and its row flags. */
+typedef struct {
+    int64_t n;
+    const int64_t *ids;
+    const double *table;
+    const uint8_t *done;
+} isl_gk;
+
+static const int64_t zero_dist = 0;
+
+/* Entries *off .. *off + len of a registered backing.  A NULL backing
+ * stands for the implicit one-entry label {(*off, 0)} of a vertex the
+ * table holds no label for, so its ancestor array is *off itself.
+ * Returns 0, or -3 when the span does not lie inside the backing. */
+static int slice(const isl_labels *lab, const int64_t *off, int64_t len,
+                 const int64_t **anc, const int64_t **dist)
+{
+    if (lab == NULL) {
+        *anc = off;
+        *dist = &zero_dist;
+        return len == 1 ? 0 : -3;
+    }
+    if (*off < 0 || len < 0 || *off > lab->len - len)
+        return -3;
+    *anc = lab->anc + *off;
+    *dist = lab->dist + *off;
+    return 0;
+}
+
 /* Equation 1 over two labels sorted by ancestor: the least d_s + d_t over
  * common ancestors, INT64_MAX when there is none. */
 static int64_t eq1(const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
@@ -349,7 +390,9 @@ static double reduce(const isl_scratch *s, const double *table, int64_t n,
     return best;
 }
 
-/* One query.  Returns -1 when out of memory, else a status:
+/* One query over the spans (off_s, len_s) of lab_s and (off_t, len_t) of
+ * lab_t.  Returns -1 when out of memory, -3 for a span outside its
+ * backing, else a status:
  *   0  a side has no seed: the answer is Equation 1 alone, out[0];
  *   1  searched, and the table did not beat Equation 1: the answer is out[0];
  *   2  searched, and the table beat it: the answer is *best;
@@ -357,12 +400,18 @@ static double reduce(const isl_scratch *s, const double *table, int64_t n,
  * out[0] is Equation 1 (INT64_MAX: no common ancestor).  "Beat" compares
  * the float64 minimum with the int64 bound exactly. */
 int isl_table_query(
-    isl_scratch *s, int64_t n,
-    const int64_t *ids, const double *table, const uint8_t *done,
-    const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
-    const int64_t *anc_t, const int64_t *dist_t, int64_t len_t,
+    isl_scratch *s, const isl_gk *gk,
+    const isl_labels *lab_s, int64_t off_s, int64_t len_s,
+    const isl_labels *lab_t, int64_t off_t, int64_t len_t,
     int64_t *out, double *best)
 {
+    const int64_t n = gk->n, *ids = gk->ids;
+    const double *table = gk->table;
+    const uint8_t *done = gk->done;
+    const int64_t *anc_s, *dist_s, *anc_t, *dist_t;
+    if (slice(lab_s, &off_s, len_s, &anc_s, &dist_s)
+        || slice(lab_t, &off_t, len_t, &anc_t, &dist_t))
+        return -3;
     const int64_t mu0 = eq1(anc_s, dist_s, len_s, anc_t, dist_t, len_t);
     out[0] = mu0;
     if (reserve_seeds(s, len_s > len_t ? len_s : len_t))
@@ -387,38 +436,41 @@ int isl_table_query(
     return beats ? 2 : 1;
 }
 
-/* A batch of q queries over concatenated label slices: query i reads
- * entries ptr_s[i]..ptr_s[i+1] of anc_s/dist_s and likewise for t.
+/* A batch of q queries: query i reads the span (off_s[i], len_s[i]) of
+ * lab_s[i] and likewise for t, as isl_table_query does.
  * out[i] = min(table answer, (double)Equation 1), or (double)Equation 1
  * when a side has no seed (inf: no common ancestor) -- the float64
  * answers of repro.core.fastlabels.batch_table_stage.  Every forward seed
- * row not filled yet is written to missing[] (room for ptr_s[q] entries;
- * repeats possible) and counted in *n_missing; when that count is nonzero
- * out[] is incomplete and the caller fills the rows and calls again.
- * Returns 0, or -1 when out of memory. */
+ * row not filled yet is written to missing[] (room for the sum of len_s
+ * entries; repeats possible) and counted in *n_missing; when that count
+ * is nonzero out[] is incomplete and the caller fills the rows and calls
+ * again.  Returns 0, -1 when out of memory, or -3 for a span outside its
+ * backing. */
 int isl_table_batch(
-    isl_scratch *s, int64_t n,
-    const int64_t *ids, const double *table, const uint8_t *done,
-    int64_t q,
-    const int64_t *ptr_s, const int64_t *anc_s, const int64_t *dist_s,
-    const int64_t *ptr_t, const int64_t *anc_t, const int64_t *dist_t,
+    isl_scratch *s, const isl_gk *gk, int64_t q,
+    isl_labels **lab_s, const int64_t *off_s, const int64_t *len_s,
+    isl_labels **lab_t, const int64_t *off_t, const int64_t *len_t,
     double *out, int64_t *missing, int64_t *n_missing)
 {
+    const int64_t n = gk->n, *ids = gk->ids;
+    const double *table = gk->table;
+    const uint8_t *done = gk->done;
     int64_t k = 0;
     for (int64_t i = 0; i < q; i++) {
-        const int64_t lo_s = ptr_s[i], len_s = ptr_s[i + 1] - lo_s;
-        const int64_t lo_t = ptr_t[i], len_t = ptr_t[i + 1] - lo_t;
-        const int64_t mu0 = eq1(anc_s + lo_s, dist_s + lo_s, len_s,
-                                anc_t + lo_t, dist_t + lo_t, len_t);
+        const int64_t *anc_s, *dist_s, *anc_t, *dist_t;
+        if (slice(lab_s[i], &off_s[i], len_s[i], &anc_s, &dist_s)
+            || slice(lab_t[i], &off_t[i], len_t[i], &anc_t, &dist_t))
+            return -3;
+        const int64_t mu0 = eq1(anc_s, dist_s, len_s[i], anc_t, dist_t, len_t[i]);
         const double bound = mu0 == INT64_MAX ? INFINITY : (double)mu0;
         out[i] = bound;
-        if (reserve_seeds(s, len_s > len_t ? len_s : len_t))
+        if (reserve_seeds(s, len_s[i] > len_t[i] ? len_s[i] : len_t[i]))
             return -1;
-        const int64_t nf = seeds_of(ids, n, anc_s + lo_s, dist_s + lo_s, len_s,
+        const int64_t nf = seeds_of(ids, n, anc_s, dist_s, len_s[i],
                                     s->seed_v[0], s->seed_d[0]);
         if (!nf)
             continue;
-        const int64_t nr = seeds_of(ids, n, anc_t + lo_t, dist_t + lo_t, len_t,
+        const int64_t nr = seeds_of(ids, n, anc_t, dist_t, len_t[i],
                                     s->seed_v[1], s->seed_d[1]);
         if (!nr)
             continue;

@@ -6,8 +6,8 @@ pure-Python reference otherwise; both give identical answers.
 
 * **Table mode** (the engine keeps the all-pairs ``G_k`` table):
   :func:`table_query` answers a whole query in one call — Equation 1 over
-  the two label slices, each side's seeds (dense ids by binary search over
-  the sorted ``G_k`` ids) and Theorem 4's table reduction — and
+  the two labels, each side's seeds (dense ids by binary search over the
+  sorted ``G_k`` ids) and Theorem 4's table reduction — and
   :func:`table_batch` a whole ``distances()`` batch.  The dispatch points
   are :meth:`repro.core.fastlabels.PackedEngineBase.staged` and
   ``distances``; the references are the engines' ``eq1`` and
@@ -34,12 +34,31 @@ see a half-written module, and nothing is written to the system temp
 directory.  Without cffi, a C compiler or a writable cache directory, the
 module loads with ``BACKEND == "python"`` and :data:`LOAD_ERROR` says why.
 
+Buffers are checked and wrapped for C when they come alive, not per query:
+
+* **Label backings.**  A label table keeps its labels in one ``anc``/``dist``
+  pair per backing: the heap freeze's concatenated arrays, a snapshot's
+  (or shard's) flat sections, and one fresh pair per §8.3 repack.  Each
+  pair is passed to :func:`register_labels` once, which validates it and
+  returns a :class:`LabelBuffer` holding its C pointers.  A label is then
+  a *span* ``(buffer, offset, length)``, and a query hands the kernels
+  only that buffer's cached pointer and two integers per side; the C side
+  checks every span against its backing's length.  :data:`IMPLICIT` spans
+  ``(IMPLICIT, v, 1)`` stand for the one-entry label ``{(v, 0)}`` of a
+  vertex the table holds no label for.
+* **``G_k`` arrays.**  The ``G_k`` ids, table and row flags (table mode)
+  and the six CSR arrays (CSR mode) are validated on a thread's first
+  query and whenever the engine swaps them; the pointers are cached on
+  that thread's scratch, keyed by array identity.
+
+:func:`counters` reports how often each happened; flat counters across a
+warm query stream mean no query paid for either.
+
 Every call releases the GIL.  The native scratch (the search's distance
 maps, epoch stamps and heaps, the table stage's seed buffers, grown on
 demand in C) hangs off the caller's
 :class:`repro.core.fastlabels.LabelArrayPool`, which the packed engines
-keep one per thread, so two threads never share one scratch set.  Arrays
-are validated here, before any pointer reaches C.
+keep one per thread, so two threads never share one scratch set.
 """
 
 from __future__ import annotations
@@ -52,17 +71,22 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
+    "IMPLICIT",
     "LOAD_ERROR",
+    "LabelBuffer",
     "bidijkstra",
+    "counters",
     "load",
     "mark_row_done",
+    "register_labels",
     "table_batch",
     "table_query",
 ]
@@ -72,6 +96,17 @@ _CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 
 _CDEF = """
 typedef struct isl_scratch isl_scratch;
+typedef struct {
+    const int64_t *anc;
+    const int64_t *dist;
+    int64_t len;
+} isl_labels;
+typedef struct {
+    int64_t n;
+    const int64_t *ids;
+    const double *table;
+    const uint8_t *done;
+} isl_gk;
 isl_scratch *isl_scratch_new(void);
 void isl_scratch_free(isl_scratch *s);
 int isl_bidijkstra(
@@ -82,17 +117,14 @@ int isl_bidijkstra(
     const int64_t *seed_rv, const int64_t *seed_rd, int64_t n_seed_r,
     int64_t initial_mu, int64_t *out);
 int isl_table_query(
-    isl_scratch *s, int64_t n,
-    const int64_t *ids, const double *table, const uint8_t *done,
-    const int64_t *anc_s, const int64_t *dist_s, int64_t len_s,
-    const int64_t *anc_t, const int64_t *dist_t, int64_t len_t,
+    isl_scratch *s, const isl_gk *gk,
+    const isl_labels *lab_s, int64_t off_s, int64_t len_s,
+    const isl_labels *lab_t, int64_t off_t, int64_t len_t,
     int64_t *out, double *best);
 int isl_table_batch(
-    isl_scratch *s, int64_t n,
-    const int64_t *ids, const double *table, const uint8_t *done,
-    int64_t q,
-    const int64_t *ptr_s, const int64_t *anc_s, const int64_t *dist_s,
-    const int64_t *ptr_t, const int64_t *anc_t, const int64_t *dist_t,
+    isl_scratch *s, const isl_gk *gk, int64_t q,
+    isl_labels **lab_s, const int64_t *off_s, const int64_t *len_s,
+    isl_labels **lab_t, const int64_t *off_t, const int64_t *len_t,
     double *out, int64_t *missing, int64_t *n_missing);
 void isl_mark_done(uint8_t *done, int64_t a);
 """
@@ -124,8 +156,27 @@ _lib = None
 #: "no common ancestor" coming back from the table kernels).
 _NO_BOUND = np.iinfo(np.int64).max
 
-_EMPTY = np.empty(0, dtype=np.int64)
 _I64 = np.dtype(np.int64)
+
+_counts = {"validations": 0, "registrations": 0}
+_counts_lock = threading.Lock()
+
+
+def _count(name: str) -> None:
+    with _counts_lock:
+        _counts[name] += 1
+
+
+def counters() -> Dict[str, int]:
+    """Process-wide ``{"validations", "registrations"}`` counts.
+
+    ``validations``: ``G_k`` array sets (table or CSR) checked and wrapped
+    for C, once per thread and array set.  ``registrations``: label
+    backings passed to :func:`register_labels`.  Neither moves on a warm
+    query path; a worker's ``stats`` reply reports both.
+    """
+    with _counts_lock:
+        return dict(_counts)
 
 
 def _module_name() -> str:
@@ -177,6 +228,7 @@ def load() -> str:
         BACKEND, LOAD_ERROR = "python", f"kernel unavailable: {exc}"
     else:
         _ffi, _lib = module.ffi, module.lib
+        IMPLICIT.ptr = _ffi.NULL
         BACKEND, LOAD_ERROR = "c", None
     return BACKEND
 
@@ -184,9 +236,19 @@ def load() -> str:
 class _Scratch:
     """One thread's C state: the native scratch, plus the last CSR arrays
     and the last ``G_k`` table it validated (each re-checked only when the
-    arrays change), plus the table query's result cells."""
+    arrays change, the table as one ``isl_gk`` record), plus the table
+    query's result cells."""
 
-    __slots__ = ("ptr", "csr_key", "csr_ptrs", "table_key", "table_ptrs", "out", "best")
+    __slots__ = (
+        "ptr",
+        "csr_key",
+        "csr_ptrs",
+        "table_key",
+        "table_gk",
+        "table_views",
+        "out",
+        "best",
+    )
 
     def __init__(self) -> None:
         ptr = _lib.isl_scratch_new()
@@ -196,7 +258,8 @@ class _Scratch:
         self.csr_key: tuple = ()
         self.csr_ptrs: tuple = ()
         self.table_key: tuple = (None, None, None)
-        self.table_ptrs: tuple = ()
+        self.table_gk = None
+        self.table_views: tuple = ()
         self.out = _ffi.new("int64_t[2]")
         self.best = _ffi.new("double[1]")
 
@@ -208,52 +271,48 @@ class _Scratch:
             scratch = pool.kernel = cls()
         return scratch
 
-    def table(self, ids, table, done) -> tuple:
-        """``(n, ids, table, done)`` C pointers for the table stage,
-        validated once per array set.
+    def table(self, ids, table, done):
+        """The table stage's C ``isl_gk`` record (``n``, ``ids``,
+        ``table``, ``done``), validated once per array set.
 
         Keyed by array identity, so an engine that swaps in a new table
         (a §8.3 repair grows it) is re-validated on its next query; the
-        key holds the arrays, so the pointers never outlive them.
+        cached buffer views hold the arrays, so the record never outlives
+        them.
         """
         cached = self.table_key
         if ids is cached[0] and table is cached[1] and done is cached[2]:
-            return self.table_ptrs
-        checked = _int64(ids)
-        n = len(checked)
-        if checked.ndim != 1 or (n > 1 and np.any(np.diff(checked) <= 0)):
+            return self.table_gk
+        _count("validations")
+        n = len(ids) if isinstance(ids, np.ndarray) else -1
+        if not _is_array(ids, _I64, (n,)) or (n > 1 and np.any(np.diff(ids) <= 0)):
             raise ValueError("G_k ids must be a strictly increasing int64 vector")
-        if not (
-            isinstance(table, np.ndarray)
-            and table.dtype == np.float64
-            and table.shape == (n, n)
-            and table.flags.c_contiguous
-        ):
+        if not _is_array(table, np.float64, (n, n)):
             raise ValueError(f"the G_k table must be a C-contiguous float64 {n}x{n} array")
-        if not (
-            isinstance(done, np.ndarray)
-            and done.dtype == np.bool_
-            and done.shape == (n,)
-            and done.flags.c_contiguous
-        ):
+        if not _is_array(done, np.bool_, (n,)):
             raise ValueError(f"the table's row flags must be a contiguous bool vector of {n}")
-        ptrs = (
-            n,
-            _ffi.from_buffer("int64_t[]", checked),
+        views = (
+            _ffi.from_buffer("int64_t[]", ids),
             _ffi.from_buffer("double[]", table),
             _ffi.from_buffer("uint8_t[]", done),
         )
-        if checked is ids:
-            self.table_key, self.table_ptrs = (ids, table, done), ptrs
-        return ptrs
+        self.table_gk = _ffi.new(
+            "isl_gk *", {"n": n, "ids": views[0], "table": views[1], "done": views[2]}
+        )
+        self.table_key, self.table_views = (ids, table, done), views
+        return self.table_gk
 
     def csr(self, arrays: tuple, n: int) -> tuple:
-        """C pointers to the six CSR arrays, validated once per array set."""
-        key = arrays + (n,)
-        if len(key) == len(self.csr_key) and all(
-            a is b for a, b in zip(key, self.csr_key)
+        """C pointers to the six CSR arrays, validated once per array set
+        (compared by identity) and vertex count (by value)."""
+        key = self.csr_key
+        if (
+            key
+            and n == key[-1]
+            and all(a is b for a, b in zip(arrays, key))
         ):
             return self.csr_ptrs
+        _count("validations")
         checked = [_int64(a) for a in arrays]
         for triple in (checked[:3], checked[3:]):
             _check_csr(*triple, n)
@@ -261,12 +320,22 @@ class _Scratch:
         # Only arrays used in place are remembered: a converted copy
         # would go stale if the caller edits its list.
         if all(c is a for c, a in zip(checked, arrays)):
-            self.csr_key, self.csr_ptrs = key, ptrs
+            self.csr_key, self.csr_ptrs = arrays + (n,), ptrs
         return ptrs
 
 
 def _int64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _is_array(a, dtype, shape) -> bool:
+    """True for a C-contiguous ndarray of ``dtype`` and ``shape``."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.shape == shape
+        and a.flags.c_contiguous
+    )
 
 
 def _check_csr(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, n: int) -> None:
@@ -338,46 +407,91 @@ def bidijkstra(
     return (initial_mu if meet < 0 else out[0]), meet, (out[2], out[3], out[4], out[5])
 
 
-def _vector(a) -> np.ndarray:
-    """``a`` itself when it is an int64 ndarray (the engines' labels always
-    are), else an int64 copy; cheaper than :func:`_int64`.  A strided view
-    passes, and ``ffi.from_buffer`` then rejects it with ``ValueError``."""
-    return a if type(a) is np.ndarray and a.dtype is _I64 else _int64(a)
+class LabelBuffer:
+    """One label backing (``anc``/``dist`` pair) registered with the kernels.
+
+    ``ptr`` is the C ``isl_labels`` record the table kernels read spans
+    of (``None`` without the compiled module); the record's pointers stay
+    valid while this object lives, since it keeps the arrays (and cffi's
+    buffer views of them) alive.  Label tables hand out spans
+    ``(buffer, offset, length)`` over it and cut label views from
+    :attr:`anc`/:attr:`dist`.
+    """
+
+    __slots__ = ("anc", "dist", "ptr", "_views")
+
+    def __init__(self, anc, dist, ptr, views) -> None:
+        self.anc = anc
+        self.dist = dist
+        self.ptr = ptr
+        self._views = views
 
 
-def _label_ptrs(label):
-    anc, dist = _vector(label[0]), _vector(label[1])
-    if len(anc) != len(dist):
-        raise ValueError("label ancestors and distances differ in length")
-    return _ffi.from_buffer("int64_t[]", anc), _ffi.from_buffer("int64_t[]", dist), len(anc)
+def register_labels(anc: np.ndarray, dist: np.ndarray) -> LabelBuffer:
+    """Validate one label backing pair and wrap its pointers for C, once.
+
+    Both must be 1-D C-contiguous ``int64`` ndarrays of equal length (a
+    view over a snapshot mapping qualifies).  Called when a backing
+    comes alive — a heap freeze, a snapshot adopt or shard open, a §8.3
+    repack — never per query.
+    """
+    n = len(anc) if isinstance(anc, np.ndarray) else -1
+    if not (_is_array(anc, _I64, (n,)) and _is_array(dist, _I64, (n,))):
+        raise ValueError("a label backing must be two contiguous int64 vectors of one length")
+    if _ffi is None:
+        return LabelBuffer(anc, dist, None, ())
+    _count("registrations")
+    views = (_ffi.from_buffer("int64_t[]", anc), _ffi.from_buffer("int64_t[]", dist))
+    ptr = _ffi.new("isl_labels *", {"anc": views[0], "dist": views[1], "len": len(anc)})
+    return LabelBuffer(anc, dist, ptr, views)
 
 
-def table_query(label_s, label_t, ids, table, done, fill_row, pool) -> Tuple[float, bool]:
+#: The backing of implicit labels: the span ``(IMPLICIT, v, 1)`` is the
+#: one-entry label ``{(v, 0)}`` (the C side reads a NULL record so).
+IMPLICIT = LabelBuffer(None, None, None, ())
+
+
+def _raise(status: int) -> None:
+    """Raise for a negative table-kernel status."""
+    if status == -3:
+        raise ValueError("label span outside its registered backing")
+    if status < 0:
+        raise MemoryError("table kernel ran out of memory")
+
+
+def table_query(span_s, span_t, ids, table, done, fill_row, pool) -> Tuple[float, bool]:
     """One query of a table-mode engine in one compiled call.
 
-    ``label_s``/``label_t`` are the two ``(ancestors, dists)`` labels,
-    ``ids`` the sorted ``G_k`` vertex ids (dense id = rank), ``table`` the
-    lazily filled all-pairs float64 ``G_k`` table and ``done`` its filled
-    rows.  Returns ``(distance, used_search)`` exactly as
+    ``span_s``/``span_t`` are the two labels as spans ``(buffer, offset,
+    length)`` of :class:`LabelBuffer` backings, ``ids`` the sorted ``G_k``
+    vertex ids (dense id = rank), ``table`` the lazily filled all-pairs
+    float64 ``G_k`` table and ``done`` its filled rows.  Returns
+    ``(distance, used_search)`` exactly as
     :meth:`repro.core.fastlabels.PackedEngineBase.staged` does on the
     reference path (Equation 1, then :meth:`search_distance` when both
     sides have seeds).  A row the query needs that is not filled yet goes
     to ``fill_row(dense_id)`` (which must set ``done``), then the call
     runs again.
     """
-    scratch = _Scratch.of(pool)
-    n, ids_p, table_p, done_p = scratch.table(ids, table, done)
-    labels = (*_label_ptrs(label_s), *_label_ptrs(label_t))
+    # The warm path inlines _Scratch.of and the table key check.
+    scratch = pool.kernel or _Scratch.of(pool)
+    key = scratch.table_key
+    if ids is key[0] and table is key[1] and done is key[2]:
+        gk = scratch.table_gk
+    else:
+        gk = scratch.table(ids, table, done)
+    buf_s, off_s, len_s = span_s
+    buf_t, off_t, len_t = span_t
     out, best = scratch.out, scratch.best
     while True:
         status = _lib.isl_table_query(
-            scratch.ptr, n, ids_p, table_p, done_p, *labels, out, best
+            scratch.ptr, gk, buf_s.ptr, off_s, len_s, buf_t.ptr, off_t, len_t, out, best
         )
         if status != 3:
             break
         fill_row(out[1])
     if status < 0:
-        raise MemoryError("table kernel ran out of memory")
+        _raise(status)
     if status == 2:
         return int(best[0]), True
     mu0 = out[0]
@@ -399,50 +513,46 @@ def mark_row_done(done: np.ndarray, a: int) -> None:
     _lib.isl_mark_done(_ffi.from_buffer("uint8_t[]", done, require_writable=True), a)
 
 
-def _concat(labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, ancestors, dists)`` of a list of labels laid end to end."""
-    ancs = [lab[0] for lab in labels]
-    dists = [lab[1] for lab in labels]
-    lengths = list(map(len, ancs))
-    if lengths != list(map(len, dists)):
-        raise ValueError("label ancestors and distances differ in length")
-    indptr = np.zeros(len(ancs) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    if not ancs:
-        return indptr, _EMPTY, _EMPTY
-    return indptr, _int64(np.concatenate(ancs)), _int64(np.concatenate(dists))
+def _spans(spans):
+    """Per-query ``(records, offsets, lengths)`` C arrays of label spans."""
+    bufs, offs, lens = zip(*spans) if spans else ((), (), ())
+    return (
+        _ffi.new("isl_labels *[]", [b.ptr for b in bufs]),
+        _ffi.new("int64_t[]", offs),
+        _ffi.new("int64_t[]", lens),
+    )
 
 
-def table_batch(labels_s, labels_t, ids, table, done, fill_row, pool) -> List[float]:
+def table_batch(spans_s, spans_t, ids, table, done, fill_row, pool) -> List[float]:
     """:func:`table_query` for a batch of queries, in one compiled call.
 
-    Answers are :func:`repro.core.fastlabels.batch_table_stage`'s over
+    ``spans_s[i]``/``spans_t[i]`` are query ``i``'s label spans.  Answers
+    are :func:`repro.core.fastlabels.batch_table_stage`'s over
     :func:`repro.core.fastlabels.batch_eq1`'s bounds.  The call reports
     every missing row at once; they are filled in ascending order and the
     batch runs again.
     """
-    if len(labels_s) != len(labels_t):
+    q = len(spans_s)
+    if q != len(spans_t):
         raise ValueError("source and target label lists differ in length")
     scratch = _Scratch.of(pool)
-    n, ids_p, table_p, done_p = scratch.table(ids, table, done)
-    ptr_s, anc_s, dist_s = _concat(labels_s)
-    ptr_t, anc_t, dist_t = _concat(labels_t)
-    out = np.empty(len(labels_s))
-    missing = np.empty(len(anc_s), dtype=np.int64)
+    gk = scratch.table(ids, table, done)
+    args = (*_spans(spans_s), *_spans(spans_t))
+    out = _ffi.new("double[]", q)
+    # Room for every forward seed: a label's seeds are among its entries.
+    missing = _ffi.new("int64_t[]", sum(span[2] for span in spans_s))
     n_missing = _ffi.new("int64_t *")
-    args = [
-        _ffi.from_buffer("int64_t[]", a) for a in (ptr_s, anc_s, dist_s, ptr_t, anc_t, dist_t)
-    ]
-    args += [_ffi.from_buffer("double[]", out), _ffi.from_buffer("int64_t[]", missing), n_missing]
     while True:
-        status = _lib.isl_table_batch(scratch.ptr, n, ids_p, table_p, done_p, len(out), *args)
-        if status:
-            raise MemoryError("table kernel ran out of memory")
+        status = _lib.isl_table_batch(
+            scratch.ptr, gk, q, *args, out, missing, n_missing
+        )
+        if status < 0:
+            _raise(status)
         if not n_missing[0]:
             break
-        for a in np.unique(missing[: n_missing[0]]).tolist():
+        for a in sorted(set(_ffi.unpack(missing, n_missing[0]))):
             fill_row(a)
-    return [int(d) if d != math.inf else d for d in out.tolist()]
+    return [int(d) if d != math.inf else d for d in _ffi.unpack(out, q)]
 
 
 load()

@@ -58,7 +58,7 @@ from repro.core.engines import (
     register_engine,
 )
 from repro.core.fastdirected import DirectedFastEngine
-from repro.core.fastlabels import FastEngine, FlatLabels, LabelTable
+from repro.core.fastlabels import FastEngine, FlatLabels, LabelTable, flatten_table
 from repro.errors import StorageError
 from repro.graph.csr import CSRDiGraph, CSRGraph
 from repro.graph.digraph import DiGraph
@@ -247,7 +247,8 @@ class SnapshotFile:
         return name in self._toc
 
     def array(self, name: str, writable: bool = False) -> np.ndarray:
-        """Section ``name`` as a memmap view (or a heap array if empty).
+        """Section ``name`` as a view of its file mapping (or a heap array
+        if empty).
 
         ``writable=True`` maps copy-on-write (``mode="c"``): writes land in
         private pages of the calling process; the file never changes.
@@ -267,12 +268,19 @@ class SnapshotFile:
             self._verify(name, entry, dtype, shape)
         if int(np.prod(shape)) == 0:
             return np.empty(shape, dtype=dtype)
-        return np.memmap(
-            self.path,
-            dtype=dtype,
-            mode="c" if writable else "r",
-            offset=entry["offset"],
-            shape=shape,
+        # A plain ndarray view of the map (kept alive through ``.base``;
+        # pages still fault lazily): the memmap subclass's
+        # ``__array_finalize__``/``__getitem__`` machinery would otherwise
+        # run on every label cut, and each ``np.asarray`` of a memmap is a
+        # fresh object, so identity-keyed pointer caches would never hit.
+        return np.asarray(
+            np.memmap(
+                self.path,
+                dtype=dtype,
+                mode="c" if writable else "r",
+                offset=entry["offset"],
+                shape=shape,
+            )
         )
 
     def _verify(
@@ -618,6 +626,9 @@ class ShardedLabelTable:
     def seeds_np(self, v: int):
         return self._route(v).seeds_np(v)
 
+    def span(self, v: int):
+        return self._route(v).span(v)
+
     def repack(self, dirty, lists, gk_ids) -> None:
         groups: Dict[int, set] = {}
         for v in dirty:
@@ -639,24 +650,7 @@ class ShardedLabelTable:
         return sorted(out)
 
     def to_flat(self) -> FlatLabels:
-        merged = LabelTable()
-        for s in self.shards:
-            table = s.table
-            for v in table.vertex_ids():
-                merged.labels[v] = table.label(v)
-                ids, dists = table.seeds_np(v)
-                merged.seed_ids_np[v] = ids
-                merged.seed_dists_np[v] = dists
-        return merged.to_flat()
-
-    @property
-    def labels(self) -> Dict:
-        """Merged view of the shards' materialized caches (debug aid)."""
-        out: Dict = {}
-        for s in self.shards:
-            if s.opened:
-                out.update(s.table.labels)
-        return out
+        return flatten_table(self)
 
 
 class Snapshot:

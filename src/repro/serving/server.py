@@ -719,6 +719,10 @@ class ShardServer:
                         "ok": True,
                         "engine": self.index.engine,
                         "kernel_backend": kernels.BACKEND,
+                        **{
+                            f"kernel_{name}": count
+                            for name, count in kernels.counters().items()
+                        },
                         "owned": self.owned,
                         "epoch": self.epoch,
                         "draining": self.draining,

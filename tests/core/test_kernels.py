@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -39,7 +40,8 @@ from repro.core.fastlabels import (
 )
 from repro.core.index import ISLabelIndex
 from repro.core.query import csr_label_bidijkstra, csr_label_bidijkstra_reference
-from repro.core.updates import DynamicISLabelIndex
+from repro.core.serialization import load_directed_index, load_index, save_snapshot
+from repro.core.updates import DynamicDirectedISLabelIndex, DynamicISLabelIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_graph
 from repro.graph.graph import Graph
@@ -198,7 +200,8 @@ def table_cases(draw):
     return {
         "graph": _graph(directed, n, arcs),
         "k": draw(st.sampled_from([None, 2, 3])),
-        "engine": draw(st.sampled_from(["fast", "mmap"])),
+        # "sharded" serves a shards=3 snapshot of the built index.
+        "engine": draw(st.sampled_from(["fast", "mmap", "sharded"])),
         # Engine built without the G_k vertices' own labels: their
         # endpoints fall back to the implicit ``([v], [0])`` label.
         "bare": draw(st.booleans()),
@@ -206,19 +209,27 @@ def table_cases(draw):
     }
 
 
-def _serve(case):
-    """``(index or None, engine)`` for one case, with a cold table."""
+def _serve(case, tmp):
+    """``(index or None, engine)`` for one case, with a cold table;
+    snapshots go under ``tmp``."""
     graph = case["graph"]
     directed = isinstance(graph, DiGraph)
     cls = DirectedISLabelIndex if directed else ISLabelIndex
-    index = cls.build(graph, k=case["k"], engine=case["engine"])
+    sharded = case["engine"] == "sharded"
+    index = cls.build(graph, k=case["k"], engine="fast" if sharded else case["engine"])
+    factory = resolve_engine(DIRECTED if directed else UNDIRECTED, case["engine"])
+    extra = {"shards": 3} if sharded else {}
     if not case["bare"]:
-        return index, index._fast
+        if not sharded:
+            return index, index._fast
+        path = tempfile.mkdtemp(dir=tmp)
+        save_snapshot(index, path, shards=3)
+        loaded = (load_directed_index if directed else load_index)(path, engine="sharded")
+        return loaded, loaded._fast
     gk = index.gk
     tables = (index._out_labels, index._in_labels) if directed else (index._labels,)
     lists = [{v: e for v, e in table.items() if not gk.has_vertex(v)} for table in tables]
-    factory = resolve_engine(DIRECTED if directed else UNDIRECTED, case["engine"])
-    return None, factory(gk, *lists)
+    return None, factory(gk, *lists, **extra)
 
 
 def _report(index, engine, pairs, singles_first):
@@ -245,7 +256,11 @@ def _report(index, engine, pairs, singles_first):
 
 def _compare_backends(case, pairs):
     """Reference answers vs the compiled path's, each on a cold table."""
-    served = [_serve(case), _serve(case)]
+    with tempfile.TemporaryDirectory() as tmp:
+        return _compare_served(case, pairs, [_serve(case, tmp), _serve(case, tmp)])
+
+
+def _compare_served(case, pairs, served):
     try:
         with _backend("python"):
             want = _report(*served[0], pairs, case["singles_first"])
@@ -272,20 +287,22 @@ class TestTableStage:
         ids = np.array([2, 5, 9], dtype=np.int64)
         table = np.zeros((3, 3))
         done = np.ones(3, dtype=bool)
-        label = (np.array([2, 5], dtype=np.int64), np.array([0, 1], dtype=np.int64))
+        anc, dist = np.array([2, 5], dtype=np.int64), np.array([0, 1], dtype=np.int64)
+        buffer = kernels.register_labels(anc, dist)
+        span = (buffer, 0, 2)
 
         def fill_row(a):
             raise AssertionError(f"row {a} is already filled")
 
-        def both(label_s, label_t, table, done):
+        def both(span_s, span_t, table, done):
             for call in (
-                lambda: kernels.table_query(label_s, label_t, ids, table, done, fill_row, LabelArrayPool()),
-                lambda: kernels.table_batch([label_s], [label_t], ids, table, done, fill_row, LabelArrayPool()),
+                lambda: kernels.table_query(span_s, span_t, ids, table, done, fill_row, LabelArrayPool()),
+                lambda: kernels.table_batch([span_s], [span_t], ids, table, done, fill_row, LabelArrayPool()),
             ):
                 with pytest.raises(ValueError):
                     call()
 
-        assert kernels.table_query(label, label, ids, table, done, fill_row, LabelArrayPool()) == (0, True)
+        assert kernels.table_query(span, span, ids, table, done, fill_row, LabelArrayPool()) == (0, True)
         for bad_table in (
             table.astype(np.float32),
             np.asfortranarray(np.arange(9.0).reshape(3, 3)),
@@ -293,12 +310,23 @@ class TestTableStage:
             np.zeros(9),
             table.tolist(),
         ):
-            both(label, label, bad_table, done)
+            both(span, span, bad_table, done)
         for bad_done in (done[:2], done.astype(np.uint8), np.ones(4, dtype=bool), done.tolist()):
-            both(label, label, table, bad_done)
-        short = (label[0], label[1][:1])
-        both(short, label, table, done)
-        both(label, short, table, done)
+            both(span, span, table, bad_done)
+        # Spans are checked against their backing in C.
+        for bad_span in ((buffer, 1, 2), (buffer, -1, 1), (buffer, 0, -1), (kernels.IMPLICIT, 5, 2)):
+            both(bad_span, span, table, done)
+            both(span, bad_span, table, done)
+        # Backings are checked when they are registered.
+        for bad_pair in (
+            (anc, dist[:1]),
+            (anc.astype(np.int32), dist),
+            (np.arange(4, dtype=np.int64)[::2], dist),
+            (anc.tolist(), dist),
+            (anc.reshape(1, 2), dist.reshape(1, 2)),
+        ):
+            with pytest.raises(ValueError):
+                kernels.register_labels(*bad_pair)
 
 
 def _seedy_case(directed, engine):
@@ -460,3 +488,184 @@ def test_threads_fill_one_table_bit_exactly():
         want = reference.distances(pairs)
         want_single = [reference.distance(s, t) for s, t in pairs]
         _race(engine, pairs, want, want_single)
+
+
+# ----------------------------------------------------------------------
+# Pointer lifecycle: buffers are checked and wrapped when they come alive
+# ----------------------------------------------------------------------
+class _CountingFFI:
+    """The module's cffi handle, counting ``from_buffer`` calls."""
+
+    def __init__(self, ffi):
+        self._ffi = ffi
+        self.from_buffers = 0
+
+    def from_buffer(self, *args, **kwargs):
+        self.from_buffers += 1
+        return self._ffi.from_buffer(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ffi, name)
+
+
+def _moved(before):
+    """How far each :func:`kernels.counters` count moved since ``before``."""
+    return {name: count - before[name] for name, count in kernels.counters().items()}
+
+
+_FLAT = {"validations": 0, "registrations": 0}
+
+
+@compiled
+def test_csr_pointers_validated_once_per_thread():
+    """A CSR-mode engine over a ``G_k`` of more than 256 vertices checks its
+    CSR arrays on each thread's first search only: the vertex count is a
+    fresh int per call, so the cache compares it by value."""
+    g = grid_graph(40, 40, seed=4, max_weight=9)
+    index = ISLabelIndex.build(g, k=2)
+    engine = FastEngine(
+        index.gk, {v: index.label(v) for v in g.vertices()}, apsp_budget_bytes=0
+    )
+    engine.freeze()
+    assert not engine.has_apsp and engine.csr.num_vertices > 256
+    pairs = random_pairs(g, 100, seed=7)
+    before = kernels.counters()
+    searched = [engine.staged(s, t)[2] is not None for s, t in pairs]
+    assert sum(searched) > 50
+    assert _moved(before) == {"validations": 1, "registrations": 0}
+
+    def reader():
+        for s, t in pairs:
+            engine.staged(s, t)
+
+    threads = [threading.Thread(target=reader) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert _moved(before) == {"validations": 3, "registrations": 0}
+
+
+@compiled
+@pytest.mark.parametrize("mode", ["table", "csr"])
+@pytest.mark.parametrize("engine", ["mmap", "sharded"])
+def test_snapshot_engines_validate_once(engine, mode, tmp_path, monkeypatch):
+    """Engines serving a snapshot check their ``G_k`` arrays once, on the
+    first query, however many singles and batches follow."""
+    if mode == "csr":
+        monkeypatch.setenv(APSP_BUDGET_ENV, "0")
+    g = grid_graph(24, 24, seed=5, max_weight=9)
+    path = tmp_path / "g.snap"
+    save_snapshot(ISLabelIndex.build(g, k=2), path, shards=3 if engine == "sharded" else 1)
+    loaded = load_index(path, engine=engine)
+    assert loaded.search_mode == ("apsp" if mode == "table" else "csr")
+    pairs = random_pairs(g, 200, seed=9)
+    before = kernels.counters()
+    want = loaded.distances(pairs)
+    try:
+        for _ in range(2):
+            assert [loaded.distance(s, t) for s, t in pairs] == want
+            assert sum((loaded.distances(pairs[i : i + 20]) for i in range(0, 200, 20)), []) == want
+            assert _moved(before)["validations"] == 1
+    finally:
+        loaded._fast.close()
+
+
+@compiled
+@pytest.mark.parametrize("engine", ["fast", "mmap", "sharded"])
+def test_warm_table_queries_make_no_buffer_calls(engine, tmp_path, monkeypatch):
+    """After warm-up, single table-stage queries pass integers and cached
+    pointers only: no ``ffi.from_buffer``, no validation, no registration."""
+    g = grid_graph(20, 20, seed=6, max_weight=9)
+    index = ISLabelIndex.build(g)
+    if engine != "fast":
+        path = tmp_path / "g.snap"
+        save_snapshot(index, path, shards=3 if engine == "sharded" else 1)
+        index = load_index(path, engine=engine)
+    assert index.search_mode == "apsp"
+    pairs = random_pairs(g, 1000, seed=12)
+    want = [index.distance(s, t) for s, t in pairs]
+    counting = _CountingFFI(kernels._ffi)
+    monkeypatch.setattr(kernels, "_ffi", counting)
+    before = kernels.counters()
+    assert [index.distance(s, t) for s, t in pairs] == want
+    assert counting.from_buffers == 0
+    assert _moved(before) == _FLAT
+
+
+def _answers(dyn, pairs, singles_first):
+    """Singles and batch answers (with their types) of a dynamic index."""
+
+    def singles():
+        return [(d, type(d)) for d in (dyn.distance(s, t) for s, t in pairs)]
+
+    def batch():
+        return [(d, type(d)) for d in dyn.distances(pairs)]
+
+    runs = (("singles", singles), ("batch", batch))
+    return {name: run() for name, run in runs[:: 1 if singles_first else -1]}
+
+
+def _wave(dyns, rng, directed, next_id):
+    """One §8.3 update (insert or delete), applied to every index alike."""
+    vertices = sorted(dyns[0].graph.vertices())
+
+    def pick(lo, hi, avoid=()):
+        chosen = rng.sample(vertices, rng.randint(lo, min(hi, len(vertices))))
+        return {v: rng.randint(1, 4) for v in chosen if v not in avoid}
+
+    if rng.random() < 0.6 or len(vertices) <= 2:
+        if directed:
+            outs = pick(1, 2)
+            args = (outs, pick(0, 2, avoid=outs))
+        else:
+            args = (pick(1, 3),)
+        for dyn in dyns:
+            dyn.insert_vertex(next_id, *map(dict, args))
+        return next_id + 1
+    victim = rng.choice(vertices)
+    for dyn in dyns:
+        dyn.delete_vertex(victim)
+    return next_id
+
+
+@compiled
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.booleans(),
+    st.sampled_from(["fast", "mmap", "sharded"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_label_backings_follow_update_waves(directed, engine, seed, data):
+    """§8.3 waves — repacks that register fresh backings, grown tables,
+    full re-freezes — interleaved with singles and batches: the compiled
+    answers (and their types) equal the reference path's and the dict
+    twin's, on both orientations."""
+    from tests.properties.strategies import connected_graphs, digraphs
+
+    graph = data.draw(digraphs(max_vertices=10) if directed else connected_graphs(max_vertices=12))
+    cls = DynamicDirectedISLabelIndex if directed else DynamicISLabelIndex
+    served, reference = cls(graph, engine=engine), cls(graph, engine=engine)
+    twin = cls(graph, engine="dict")
+    rng = random.Random(seed)
+    next_id = 100_000
+    try:
+        for _ in range(4):
+            fraction = 0.0 if rng.random() < 0.3 else FastEngine.INCREMENTAL_MAX_FRACTION
+            for dyn in (served, reference):
+                dyn.index._fast.incremental_max_fraction = fraction
+            for _ in range(rng.randint(1, 3)):
+                next_id = _wave((served, reference, twin), rng, directed, next_id)
+            vertices = sorted(served.graph.vertices())
+            pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(20)]
+            singles_first = rng.random() < 0.5
+            got = _answers(served, pairs, singles_first)
+            with _backend("python"):
+                want = _answers(reference, pairs, singles_first)
+            assert got == want
+            assert got["singles"] == [(d, type(d)) for d in map(twin.distance, *zip(*pairs))]
+    finally:
+        for dyn in (served, reference):
+            if hasattr(dyn.index._fast, "close"):
+                dyn.index._fast.close()

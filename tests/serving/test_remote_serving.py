@@ -26,6 +26,7 @@ from repro.errors import IndexBuildError, QueryError, StorageError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import ensure_connected, erdos_renyi
 from repro.serving import wire
+from repro.serving.chaos import FleetWorker
 from repro.serving.membership import DEAD
 from repro.serving.remote import (
     REMOTE_ADDRS_ENV,
@@ -306,6 +307,36 @@ class TestServerLifecycle:
             assert stats["kernel_backend"] == kernels.BACKEND
         finally:
             sock.close()
+
+    def test_warm_worker_neither_validates_nor_registers(self, graph, shard_path, expected):
+        """A spawned ``repro serve`` worker checks its ``G_k`` arrays and
+        registers its label buffers while it warms up; 500 more single
+        requests move neither counter."""
+        pairs, want = expected
+        pairs, want = (pairs * 2)[:500], (want * 2)[:500]
+        worker = FleetWorker(shard_path, owned=range(4))
+        worker.spawn()
+        sock = socket.create_connection(worker.address, timeout=30.0)
+        try:
+
+            def singles():
+                return [
+                    wire.request(sock, {"op": "distances", "pairs": [pair]})["distances"][0]
+                    for pair in pairs
+                ]
+
+            assert singles() == want  # warm-up: shards open, table rows fill
+            before = wire.request(sock, {"op": "stats"})
+            assert singles() == want
+            after = wire.request(sock, {"op": "stats"})
+            for field in ("kernel_validations", "kernel_registrations"):
+                assert after[field] == before[field], field
+            if kernels.BACKEND == "c":
+                assert before["kernel_validations"] >= 1
+                assert before["kernel_registrations"] >= 1
+        finally:
+            sock.close()
+            worker.reap()
 
     def test_unknown_op_answered_not_fatal(self, server):
         sock = socket.create_connection(server.address)
