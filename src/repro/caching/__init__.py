@@ -1,23 +1,20 @@
-"""Hot-pair caching and the approximate tier.
+"""Hot-pair caching.
 
-Three pieces, composable and individually usable:
+Two pieces, composable and individually usable:
 
 * :class:`~repro.caching.cache.DistanceCache` — the seeded, TTL'd,
   size-budgeted LRU every tier shares (engine decorator, server-side
   shim, client-side remote tier);
 * :class:`~repro.caching.engine.CachedEngine` — the ``cached:*`` engine
   decorator, reachable through the registry as ``engine="cached:fast"``,
-  ``"cached:remote"``, … for both orientations;
-* :class:`~repro.caching.sketch.HubSketch` /
-  :class:`~repro.caching.sketch.DirectedHubSketch` — truncated-label
-  upper bounds behind ``distances(..., approx=True)``.
+  ``"cached:remote"``, … for both orientations.
 
 The engine registry (:mod:`repro.core.engines`) resolves ``cached:``
 names by importing this package lazily, so nothing here loads unless a
 cached engine is actually requested.
 """
 
-from repro.caching.cache import APPROX, ENTRY_BYTES, EXACT, DistanceCache
+from repro.caching.cache import ENTRY_BYTES, DistanceCache
 from repro.caching.engine import (
     DEFAULT_CACHE_ENTRIES,
     ENV_CACHE_ENABLE,
@@ -28,16 +25,8 @@ from repro.caching.engine import (
     cache_ttl_from_env,
     cached_factory,
 )
-from repro.caching.sketch import (
-    DEFAULT_SKETCH_H,
-    DirectedHubSketch,
-    HubSketch,
-    SketchTable,
-)
 
 __all__ = [
-    "APPROX",
-    "EXACT",
     "ENTRY_BYTES",
     "DistanceCache",
     "CachedEngine",
@@ -48,8 +37,4 @@ __all__ = [
     "ENV_CACHE_ENABLE",
     "ENV_CACHE_ENTRIES",
     "ENV_CACHE_TTL_S",
-    "DEFAULT_SKETCH_H",
-    "SketchTable",
-    "HubSketch",
-    "DirectedHubSketch",
 ]

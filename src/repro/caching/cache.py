@@ -11,10 +11,8 @@ read-through store in front of any engine: the cached-engine decorator
 
 Keys canonicalize the pair per orientation: undirected caches normalize
 ``(s, t)`` to ``(min, max)`` (``dist(s, t) == dist(t, s)``, so both
-orders hit one entry), directed caches keep the order.  Entries carry a
-namespace so the approximate tier's upper bounds
-(:mod:`repro.caching.sketch`) can be cached **without ever being served
-to an exact query** — ``"exact"`` and ``"approx"`` answers never mix.
+orders hit one entry), directed caches keep the order.  Only exact
+answers are cached, so a key is just the canonical pair.
 
 Eviction has three independent causes, counted separately so the stats
 distinguish a small cache from a stale one:
@@ -43,16 +41,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueryError
 
-__all__ = ["DistanceCache", "EXACT", "APPROX", "ENTRY_BYTES"]
+__all__ = ["DistanceCache", "ENTRY_BYTES"]
 
-#: The two key namespaces.  Exact lookups never read ``APPROX`` entries.
-EXACT = "exact"
-APPROX = "approx"
-
-#: Nominal accounting size of one cache entry: the key tuple (namespace
-#: ref + two boxed int64s), the float value, the timestamp and the two
-#: hash-table slots (LRU map + per-vertex index).  A deliberate model
-#: constant — the byte budget is a planning knob, not an allocator audit.
+#: Nominal accounting size of one cache entry: the key tuple (two boxed
+#: int64s), the float value, the timestamp and the two hash-table slots
+#: (LRU map + per-vertex index).  A deliberate model constant — the byte
+#: budget is a planning knob, not an allocator audit, and it keeps its
+#: historical value so existing budgets keep their meaning.
 ENTRY_BYTES = 160
 
 #: Fraction of distinct cached vertices that may be dirtied before
@@ -63,7 +58,7 @@ FLUSH_THRESHOLD = 0.5
 
 
 class DistanceCache:
-    """LRU of ``(s, t) -> distance`` with TTL, byte budget and namespaces.
+    """LRU of ``(s, t) -> distance`` with TTL and byte budget.
 
     ``max_entries`` and ``max_bytes`` (``ENTRY_BYTES`` per entry) are
     independent ceilings; whichever is hit first evicts the LRU tail.
@@ -99,7 +94,7 @@ class DistanceCache:
         self.directed = bool(directed)
         self._clock = clock
         # key -> (value, stamp); insertion order is recency order.
-        self._entries: "OrderedDict[Tuple[str, int, int], Tuple[float, float]]" = (
+        self._entries: "OrderedDict[Tuple[int, int], Tuple[float, float]]" = (
             OrderedDict()
         )
         # vertex -> set of keys touching it, for exact dirty eviction.
@@ -118,19 +113,19 @@ class DistanceCache:
     # ------------------------------------------------------------------
     # Keying
     # ------------------------------------------------------------------
-    def key_of(self, s: int, t: int, namespace: str = EXACT):
+    def key_of(self, s: int, t: int) -> Tuple[int, int]:
         """The canonical cache key for one pair (per orientation)."""
         s, t = int(s), int(t)
         if not self.directed and t < s:
             s, t = t, s
-        return (namespace, s, t)
+        return (s, t)
 
     # ------------------------------------------------------------------
     # Read-through primitives
     # ------------------------------------------------------------------
-    def lookup(self, s: int, t: int, namespace: str = EXACT):
+    def lookup(self, s: int, t: int):
         """``(hit, value)`` for one pair; counts the hit/miss/expiry."""
-        key = self.key_of(s, t, namespace)
+        key = self.key_of(s, t)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and self.ttl_s is not None:
@@ -145,14 +140,14 @@ class DistanceCache:
             self.hits += 1
             return True, entry[0]
 
-    def put(self, s: int, t: int, value: float, namespace: str = EXACT) -> None:
+    def put(self, s: int, t: int, value: float) -> None:
         """Insert/refresh one answer and enforce the size budgets."""
-        key = self.key_of(s, t, namespace)
+        key = self.key_of(s, t)
         with self._lock:
             self._store(key, value)
 
     def seed(self, items: Iterable[Tuple[int, int, float]]) -> int:
-        """Pre-warm the exact namespace; returns how many entries landed."""
+        """Pre-warm the cache; returns how many entries landed."""
         count = 0
         with self._lock:
             for s, t, value in items:
@@ -167,7 +162,7 @@ class DistanceCache:
             self._entries[key] = (value, self._clock())
             return
         self._entries[key] = (value, self._clock())
-        for v in key[1:]:
+        for v in key:
             self._by_vertex.setdefault(v, set()).add(key)
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None
@@ -179,7 +174,7 @@ class DistanceCache:
 
     def _remove(self, key) -> None:
         self._entries.pop(key, None)
-        for v in key[1:]:
+        for v in key:
             keys = self._by_vertex.get(v)
             if keys is not None:
                 keys.discard(key)
@@ -195,9 +190,7 @@ class DistanceCache:
         ``dirty=None`` (or a dirtiness past :data:`FLUSH_THRESHOLD` of
         the distinct cached vertices) flushes everything.  Otherwise
         eviction is exact: every cached pair whose source or target is
-        in ``dirty`` goes — in *every* namespace, since a sketch upper
-        bound built from a dirtied label is just as stale as an exact
-        answer.
+        in ``dirty`` goes.
         """
         with self._lock:
             if dirty is None:
@@ -277,7 +270,6 @@ class DistanceCache:
         self,
         pairs: List[Tuple[int, int]],
         compute: Callable[[List[Tuple[int, int]]], List[float]],
-        namespace: str = EXACT,
     ) -> List[float]:
         """Answer a batch, dispatching only the misses to ``compute``.
 
@@ -287,14 +279,14 @@ class DistanceCache:
         the unique missing pairs in first-appearance order.
         """
         out: List[Optional[float]] = [None] * len(pairs)
-        missing: "OrderedDict[Tuple[str, int, int], List[int]]" = OrderedDict()
+        missing: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
         miss_pairs: List[Tuple[int, int]] = []
         for i, (s, t) in enumerate(pairs):
-            hit, value = self.lookup(s, t, namespace)
+            hit, value = self.lookup(s, t)
             if hit:
                 out[i] = value
                 continue
-            key = self.key_of(s, t, namespace)
+            key = self.key_of(s, t)
             slots = missing.get(key)
             if slots is None:
                 missing[key] = [i]
@@ -311,7 +303,7 @@ class DistanceCache:
             for (key, slots), (s, t), value in zip(
                 missing.items(), miss_pairs, answers
             ):
-                self.put(s, t, value, namespace)
+                self.put(s, t, value)
                 for i in slots:
                     out[i] = value
         return out  # type: ignore[return-value]

@@ -29,11 +29,6 @@ reweighted edge, an unexplained signature — falls back to a full flush.
 Wrapping an engine with no ``G_k`` in hand (``cached:remote``) flushes
 on every dirty invalidation for the same reason: correctness first,
 hit rate second.
-
-The approximate tier composes through :meth:`CachedEngine.distances_via`:
-the facade routes sketch upper bounds through the same cache under the
-``"approx"`` namespace, so hot approximate pairs are cached too but are
-never visible to an exact lookup.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.caching.cache import APPROX, EXACT, DistanceCache
+from repro.caching.cache import DistanceCache
 from repro.envvars import read_env_float, read_env_int
 from repro.errors import IndexBuildError
 
@@ -145,9 +140,7 @@ class CachedEngine:
         return value
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        return self.cache.read_through(
-            list(pairs), self._inner.distances, EXACT
-        )
+        return self.cache.read_through(list(pairs), self._inner.distances)
 
     def invalidate(self, dirty: Optional[Iterable[int]] = None) -> None:
         """Forward to the inner engine, then evict exactly what went stale."""
@@ -162,17 +155,6 @@ class CachedEngine:
     # ------------------------------------------------------------------
     # Composition seams
     # ------------------------------------------------------------------
-    def distances_via(
-        self,
-        pairs: Iterable[Tuple[int, int]],
-        compute: Callable[[List[Tuple[int, int]]], List[float]],
-        namespace: str = APPROX,
-    ) -> List[float]:
-        """Read-through with a caller-supplied compute, e.g. the sketch
-        tier — answers land in ``namespace`` and never leak into exact
-        lookups."""
-        return self.cache.read_through(list(pairs), compute, namespace)
-
     @property
     def inner(self):
         """The wrapped engine (benchmarks compare against it directly)."""

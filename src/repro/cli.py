@@ -106,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--path", action="store_true", help="print the shortest path too"
     )
     p_query.add_argument(
-        "--approx",
-        action="store_true",
-        help="answer from the hub-sketch tier: an upper bound on the "
-        "true distance (frequently exact, flagged when provably so) "
-        "computed from the top-h label entries with no search stage",
-    )
-    p_query.add_argument(
         "--engine",
         choices=available_engines(UNDIRECTED),
         default="fast",
@@ -149,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dquery.add_argument("target", type=int)
     p_dquery.add_argument(
         "--path", action="store_true", help="print the shortest directed path too"
-    )
-    p_dquery.add_argument(
-        "--approx",
-        action="store_true",
-        help="answer from the directed hub-sketch tier (upper bound; "
-        "see `repro query --approx`)",
     )
     p_dquery.add_argument(
         "--engine",
@@ -466,11 +453,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         else:
             print(f"dist({args.source}, {args.target}) = {dist}")
             print(" -> ".join(str(v) for v in path))
-    elif args.approx:
-        bound, exact = index.hub_sketch().bound(args.source, args.target)
-        rendered = "inf" if math.isinf(bound) else str(bound)
-        note = "exact" if exact else "upper bound"
-        print(f"dist({args.source}, {args.target}) <= {rendered} ({note})")
     else:
         dist = index.distance(args.source, args.target)
         rendered = "inf" if math.isinf(dist) else str(dist)
@@ -514,11 +496,6 @@ def _cmd_query_directed(args: argparse.Namespace) -> int:
         else:
             print(f"dist({args.source}, {args.target}) = {dist}")
             print(" -> ".join(str(v) for v in path))
-    elif args.approx:
-        bound, exact = index.hub_sketch().bound(args.source, args.target)
-        rendered = "inf" if math.isinf(bound) else str(bound)
-        note = "exact" if exact else "upper bound"
-        print(f"dist({args.source}, {args.target}) <= {rendered} ({note})")
     else:
         dist = index.distance(args.source, args.target)
         rendered = "inf" if math.isinf(dist) else str(dist)

@@ -158,8 +158,8 @@ class DirectedISLabelIndex(_IndexFacade):
     label arrays, per-direction CSR views of ``G_k`` and a batch
     :meth:`distances` path — while ``"dict"`` keeps only the reference
     structures.  Both are answer-identical; path reconstruction always
-    runs on the reference structures.  Coverage checks, the approximate
-    tier and engine routing are the shared facade's
+    runs on the reference structures.  Coverage checks and engine
+    routing are the shared facade's
     (:class:`repro.core.index._IndexFacade`).
     """
 
@@ -183,11 +183,6 @@ class DirectedISLabelIndex(_IndexFacade):
 
     def _label_tables(self):
         return (self._out_labels, self._in_labels)
-
-    def _build_sketch(self, h: int):
-        from repro.caching.sketch import DirectedHubSketch
-
-        return DirectedHubSketch.from_index(self, h=h)
 
     def _reference_distance(self, source: int, target: int) -> float:
         return self._query(source, target, keep_parents=False)[0]

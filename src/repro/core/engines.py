@@ -196,9 +196,9 @@ def register_engine(
 def _wrap_cached(kind: str, base: str) -> EngineFactory:
     """Factory for ``cached:<base>``: resolve the base, decorate the build.
 
-    The import is lazy — :mod:`repro.caching` pulls in numpy-heavy sketch
-    code that nothing should pay for unless a cached engine is requested —
-    and it also avoids a cycle (caching imports this module's constants).
+    The import is lazy — nothing should pay for :mod:`repro.caching`
+    unless a cached engine is requested — and it also avoids a cycle
+    (caching imports this module's constants).
     """
     base_factory = _REGISTRY[kind][base]
     if base_factory is None:

@@ -971,7 +971,7 @@ class PackedEngineBase:
     def _fill_apsp_row(self, a: int) -> None:
         """Fill table row ``a``: Dijkstra from ``a`` over the forward CSR."""
         self._apsp[a] = self._dijkstra_row(a, self.indptr, self.indices, self.weights)
-        kernels.mark_row_done(self._apsp_done, a)
+        kernels.mark_row_done(self._apsp_done, a, self.pool)
 
     # ------------------------------------------------------------------
     # Invalidation (full and §8.3-incremental)

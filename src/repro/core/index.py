@@ -39,13 +39,12 @@ registry under the ``"directed"`` kind):
 The facade does the bookkeeping and the engine does the compute.
 :class:`_IndexFacade`, shared with the directed index, checks vertex
 coverage, charges disk-mode label I/O and routes each call to the
-approximate tier, the attached engine or the dict reference.  A packed
-engine stages Algorithm 1 once
-(:meth:`repro.core.fastlabels.PackedEngineBase.staged`): ``distance``
-returns that body's answer and :meth:`ISLabelIndex.query` reads its
-Table 4/5 fields from it.  Both engines return bit-identical answers and
-identical I/O accounting; path reconstruction (``keep_parents``) always
-runs on the reference search.
+attached engine or the dict reference.  A packed engine stages
+Algorithm 1 once (:meth:`repro.core.fastlabels.PackedEngineBase.staged`):
+``distance`` returns that body's answer and :meth:`ISLabelIndex.query`
+reads its Table 4/5 fields from it.  Both engines return bit-identical
+answers and identical I/O accounting; path reconstruction
+(``keep_parents``) always runs on the reference search.
 """
 
 from __future__ import annotations
@@ -126,16 +125,15 @@ class QueryResult:
 class _IndexFacade:
     """What the undirected index and the directed one (§8.2) share.
 
-    The facade owns the bookkeeping: vertex coverage, disk-mode label I/O,
-    the approximate tier and the implicit-label rule of :meth:`_label`.
-    Answers are computed by the attached engine, or by the orientation's
-    dict reference when none is attached.  An orientation supplies only
+    The facade owns the bookkeeping: vertex coverage, disk-mode label I/O
+    and the implicit-label rule of :meth:`_label`.  Answers are computed
+    by the attached engine, or by the orientation's dict reference when
+    none is attached.  An orientation supplies only
     its own parts:
 
     * ``_KIND`` — the engine registry kind;
     * :meth:`_label_tables` — its entry-list label tables, in the order
       its engine factories take them;
-    * :meth:`_build_sketch` — its hub-sketch tier;
     * :meth:`_reference_distance` — its dict reference query.
     """
 
@@ -149,14 +147,8 @@ class _IndexFacade:
         self.gk = hierarchy.gk
         self._labeling_seconds = labeling_seconds
         self._fast = fast
-        # Lazily built hub sketch (the approximate tier); dropped whenever
-        # labels change so it can never serve stale bounds.
-        self._sketch = None
 
     def _label_tables(self) -> Tuple[Dict[int, LabelEntryList], ...]:
-        raise NotImplementedError
-
-    def _build_sketch(self, h: int):
         raise NotImplementedError
 
     def _reference_distance(self, source: int, target: int) -> float:
@@ -208,44 +200,25 @@ class _IndexFacade:
         them and re-freezes on the next query.  No-op on the dict
         reference path, whose structures *are* the mutable ones.
         """
-        self._sketch = None  # sketches are built from labels; never stale
         if self._fast is not None:
             self._fast.invalidate(dirty)
-
-    def hub_sketch(self, h: Optional[int] = None):
-        """The lazily built approximate tier (:mod:`repro.caching.sketch`).
-
-        One instance per label generation — :meth:`invalidate_labels`
-        drops it, so §8.3 updates rebuild it from current labels before
-        the next approximate query.  ``h`` pins the entries kept per
-        vertex (a different ``h`` rebuilds); ``h=None`` reuses whatever
-        sketch is already built, falling back to
-        :data:`~repro.caching.sketch.DEFAULT_SKETCH_H` on first use.
-        """
-        from repro.caching.sketch import DEFAULT_SKETCH_H
-
-        if h is None:
-            if self._sketch is not None:
-                return self._sketch
-            h = DEFAULT_SKETCH_H
-        if self._sketch is None or self._sketch.h != h:
-            self._sketch = self._build_sketch(h)
-        return self._sketch
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def distance(self, source: int, target: int) -> float:
         """Exact ``dist_G(source, target)`` (``inf`` when unreachable)."""
-        self._check_vertex(source)
-        self._check_vertex(target)
+        level_of = self.hierarchy.level_of
+        if source not in level_of or target not in level_of:
+            self._check_vertex(source)
+            self._check_vertex(target)
         if self._fast is None:
             return self._reference_distance(source, target)
         if self._store is not None:
             self._charge_label_io(source, target)
         return self._fast.distance(source, target)
 
-    def distances(self, pairs, approx: bool = False) -> List[float]:
+    def distances(self, pairs) -> List[float]:
         """Batch form of :meth:`distance` over an iterable of (s, t) pairs.
 
         On a packed engine this is a real batch path: Equation 1 runs
@@ -253,14 +226,6 @@ class _IndexFacade:
         and the search stage reuses one set of pooled buffers (or one
         vectorized table reduction).  Disk-mode I/O accounting matches
         :meth:`distance`.
-
-        ``approx=True`` answers from the hub-sketch tier instead: each
-        result is an *upper bound* on the true distance (frequently
-        exact — see :mod:`repro.caching.sketch` for the error contract)
-        computed from the top-``h`` label entries only, with no label
-        I/O and no search stage.  On a ``cached:*`` engine the bounds are
-        cached under the ``"approx"`` namespace, never visible to exact
-        queries.
         """
         pairs = list(pairs)
         level_of = self.hierarchy.level_of
@@ -268,11 +233,6 @@ class _IndexFacade:
             if s not in level_of or t not in level_of:
                 self._check_vertex(s)
                 self._check_vertex(t)
-        if approx:
-            sketch = self.hub_sketch()
-            if self._fast is not None and hasattr(self._fast, "distances_via"):
-                return self._fast.distances_via(pairs, sketch.bounds)
-            return sketch.bounds(pairs)
         if self._fast is None:
             return [self._reference_distance(s, t) for s, t in pairs]
         if self._store is not None:
@@ -335,11 +295,6 @@ class ISLabelIndex(_IndexFacade):
 
     def _label_tables(self):
         return (self._labels,)
-
-    def _build_sketch(self, h: int):
-        from repro.caching.sketch import HubSketch
-
-        return HubSketch.from_index(self, h=h)
 
     def _reference_distance(self, source: int, target: int) -> float:
         return self._query_detailed(source, target)[0].distance

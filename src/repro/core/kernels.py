@@ -498,19 +498,27 @@ def table_query(span_s, span_t, ids, table, done, fill_row, pool) -> Tuple[float
     return (math.inf if mu0 == _NO_BOUND else mu0), status == 1
 
 
-def mark_row_done(done: np.ndarray, a: int) -> None:
+def mark_row_done(done: np.ndarray, a: int, pool) -> None:
     """Set ``done[a]`` once table row ``a`` is written.
 
     With the compiled module this is a release store, which the table
     kernels (running without the GIL on other threads) pair with acquire
-    loads, so they never read a row before its values.
+    loads, so they never read a row before its values.  ``pool`` is the
+    calling thread's search pool: when its table record already holds a
+    view of ``done``, the store goes through that view instead of
+    wrapping the array again.
     """
     if BACKEND != "c":
         done[a] = True
         return
     if not (done.dtype == np.bool_ and done.ndim == 1 and 0 <= a < len(done)):
         raise ValueError(f"row {a} outside the table's bool row flags")
-    _lib.isl_mark_done(_ffi.from_buffer("uint8_t[]", done, require_writable=True), a)
+    scratch = pool.kernel
+    if scratch is not None and scratch.table_key[2] is done and done.flags.writeable:
+        view = scratch.table_views[2]
+    else:
+        view = _ffi.from_buffer("uint8_t[]", done, require_writable=True)
+    _lib.isl_mark_done(view, a)
 
 
 def _spans(spans):

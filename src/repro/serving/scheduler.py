@@ -1,4 +1,4 @@
-"""Shard-aware query scheduling: bucket ``(s, t)`` streams by shard pair.
+"""Shard-aware query scheduling: bucket ``(s, t)`` batches by shard pair.
 
 IS-LABEL queries are pairs of independent label lookups (Equation 1 plus
 a small shared search stage), which makes a query stream embarrassingly
@@ -12,21 +12,18 @@ call (or its vectorized ``batch_eq1`` pass) over the whole bucket.  A
 naive per-query loop pays every one of those costs per call.
 
 :class:`ShardScheduler` is that routing layer.  It consumes ``(s, t)``
-pairs — one batch at a time (:meth:`schedule`) or as a stream
-(:meth:`submit`/:meth:`drain`) — buckets them by owning shard pair via
-the snapshot's ownership map (shard *starts*: vertex ``v`` belongs to
-the shard with the rightmost start ``<= v``), and dispatches each bucket
-as **one** batched ``distances()`` call.  Dispatch is a callable, so the
-same scheduler drives a local sharded engine, an index facade, or the
-remote engine's per-worker connections (:mod:`repro.serving.remote` — a
-bucket becomes one wire frame to the worker owning the source shard).
+pairs one batch at a time (:meth:`schedule`), buckets them by owning
+shard pair via the snapshot's ownership map (shard *starts*: vertex
+``v`` belongs to the shard with the rightmost start ``<= v``), and
+dispatches each bucket as **one** batched ``distances()`` call.
+Dispatch is a callable, so the same scheduler drives a local sharded
+engine, an index facade, or the remote engine's per-worker connections
+(:mod:`repro.serving.remote` — a bucket becomes one wire frame to the
+worker owning the source shard).
 
-:class:`SchedulerPolicy` is the small knob the issue tracker asked for:
-``max_batch`` caps how many queries one dispatch may carry (1 degenerates
-to per-query dispatch — the property suite's bit-identity baseline), and
-``max_delay_s`` bounds how long a streamed query may sit in a bucket
-before everything pending is flushed (latency floor under trickle
-traffic; ``0`` flushes only on size or an explicit drain).
+:class:`SchedulerPolicy` has one knob: ``max_batch`` caps how many
+queries one dispatch may carry (1 degenerates to per-query dispatch —
+the property suite's bit-identity baseline).
 
 Scheduling never changes answers: results are scattered back to input
 positions, so :meth:`schedule` is bit-identical to calling
@@ -36,7 +33,6 @@ property tests assert against the dict oracle.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from concurrent.futures import Future
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -90,30 +86,17 @@ DispatchAsync = Callable[
 
 
 class SchedulerPolicy(NamedTuple):
-    """Batching knobs of the scheduler.
+    """Batching knob of the scheduler.
 
     ``max_batch``
-        Largest number of queries one dispatch call may carry.  Streaming
-        buckets flush as soon as they reach it; :meth:`ShardScheduler.schedule`
-        chunks oversized buckets by it.  ``1`` disables batching entirely
-        (every query dispatched alone — the degenerate baseline).
-    ``max_delay_s``
-        Streaming only: once the *oldest* pending query has waited this
-        long, the next :meth:`~ShardScheduler.submit` flushes everything
-        pending.  ``0.0`` means no time-based flush — queries wait for a
-        full bucket or an explicit :meth:`~ShardScheduler.drain`.
-    ``coalesce_source``
-        Batch mode only: merge adjacent buckets that share a *source*
-        shard into one dispatch (up to ``max_batch``).  Routing is
-        unaffected — a coalesced dispatch still belongs to the owner of
-        the one source shard — but small per-pair buckets regain the
-        engine's full batch amortization.  Disable to get strictly
-        per-shard-pair dispatches.
+        Largest number of queries one dispatch call may carry:
+        :meth:`ShardScheduler.schedule` merges same-source buckets up to
+        it and chunks oversized buckets by it.  ``1`` disables batching
+        entirely (every query dispatched alone — the degenerate
+        baseline).
     """
 
     max_batch: int = 1024
-    max_delay_s: float = 0.0
-    coalesce_source: bool = True
 
 
 class ShardScheduler:
@@ -133,11 +116,6 @@ class ShardScheduler:
         "dispatch_calls",
         "queries_scheduled",
         "buckets_coalesced",
-        "_pending",
-        "_pending_count",
-        "_oldest_pending",
-        "_results",
-        "_next_ticket",
     )
 
     def __init__(
@@ -161,12 +139,6 @@ class ShardScheduler:
         self.dispatch_calls = 0
         self.queries_scheduled = 0
         self.buckets_coalesced = 0
-        # Streaming state: bucket -> [(ticket, s, t), ...].
-        self._pending: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-        self._pending_count = 0
-        self._oldest_pending: Optional[float] = None
-        self._results: Dict[int, float] = {}
-        self._next_ticket = 0
 
     @classmethod
     def for_engine(cls, engine, policy: Optional[SchedulerPolicy] = None):
@@ -205,11 +177,10 @@ class ShardScheduler:
         """Answer a whole batch, bucketed per shard pair.
 
         Groups the batch by bucket, dispatches each bucket (chunked at
-        ``policy.max_batch``, and — with ``coalesce_source`` — merged
-        with same-source neighbours) as one batched call, and scatters
-        the answers back to input order.  Buckets dispatch in ascending
-        shard-pair order so consecutive calls touch neighbouring shard
-        files and all-pairs table rows.
+        ``policy.max_batch``, and merged with same-source neighbours) as
+        one batched call, and scatters the answers back to input order.
+        Buckets dispatch in ascending shard-pair order so consecutive
+        calls touch neighbouring shard files and all-pairs table rows.
         """
         pairs = [(int(s), int(t)) for s, t in pairs]
         out: List[float] = [0.0] * len(pairs)
@@ -218,14 +189,15 @@ class ShardScheduler:
             buckets.setdefault(self.bucket_of(s, t), []).append(i)
         cap = self.policy.max_batch
         # Dispatch groups: one per bucket, except that adjacent buckets
-        # sharing a source shard may coalesce (their owner is the same
-        # worker) while they fit the batch cap.
+        # sharing a source shard coalesce (their owner is the same
+        # worker) while they fit the batch cap.  Routing is unaffected,
+        # and small per-pair buckets regain the engine's full batch
+        # amortization.
         groups: List[Tuple[Tuple[int, int], List[int]]] = []
         for bucket in sorted(buckets):
             positions = buckets[bucket]
             if (
-                self.policy.coalesce_source
-                and groups
+                groups
                 and groups[-1][0][0] == bucket[0]
                 and len(groups[-1][1]) + len(positions) <= cap
             ):
@@ -289,190 +261,27 @@ class ShardScheduler:
         return self._record(chunk, bucket, self.dispatch(chunk, bucket))
 
     # ------------------------------------------------------------------
-    # Streaming scheduling
+    # Reporting
     # ------------------------------------------------------------------
-    def submit(self, s: int, t: int) -> int:
-        """Enqueue one query; returns a ticket to look its answer up by.
-
-        The query's bucket flushes when it reaches ``policy.max_batch``;
-        independently, if the oldest pending query has waited longer than
-        ``policy.max_delay_s``, everything pending flushes so a trickle
-        of traffic cannot strand queries in half-full buckets.
-        """
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        bucket = self.bucket_of(s, t)
-        queue = self._pending.setdefault(bucket, [])
-        queue.append((ticket, int(s), int(t)))
-        self._pending_count += 1
-        if self._oldest_pending is None:
-            self._oldest_pending = time.monotonic()
-        if len(queue) >= self.policy.max_batch:
-            self._flush_bucket(bucket)
-        if (
-            self.policy.max_delay_s > 0
-            and self._oldest_pending is not None
-            and time.monotonic() - self._oldest_pending >= self.policy.max_delay_s
-        ):
-            self.flush()
-        return ticket
-
-    @property
-    def pending_count(self) -> int:
-        """Queries submitted but not yet dispatched."""
-        return self._pending_count
-
     def stats(self) -> Dict[str, float]:
         """Batching-efficiency counters as one snapshot dict.
 
         ``dispatch_calls`` / ``queries_scheduled`` give the amortization
-        ratio (``avg_batch``), ``buckets_coalesced`` counts same-source
-        bucket merges, and ``pending`` is the streaming backlog.  This is
-        the observability surface the load harness and the ``stats`` wire
-        op report — callers should read it instead of monkey-patching
-        ``_dispatch``.
+        ratio (``avg_batch``) and ``buckets_coalesced`` counts same-source
+        bucket merges.  This is the observability surface the load
+        harness and the ``stats`` wire op report — callers should read it
+        instead of monkey-patching ``_dispatch``.
         """
         return {
             "dispatch_calls": self.dispatch_calls,
             "queries_scheduled": self.queries_scheduled,
             "buckets_coalesced": self.buckets_coalesced,
-            "pending": self._pending_count,
             "avg_batch": (
                 self.queries_scheduled / self.dispatch_calls
                 if self.dispatch_calls
                 else 0.0
             ),
         }
-
-    def pending(self) -> Dict[int, Tuple[int, int]]:
-        """Snapshot of submitted-but-undispatched queries: ticket → pair.
-
-        After a flush that raised, this is exactly the set of queries
-        whose buckets never dispatched — the caller can inspect, re-flush
-        or re-route them instead of blindly re-calling :meth:`flush`.
-        """
-        return {
-            ticket: (s, t)
-            for queue in self._pending.values()
-            for ticket, s, t in queue
-        }
-
-    def _flush_bucket(self, bucket: Tuple[int, int]) -> None:
-        queue = self._pending.get(bucket)
-        if not queue:
-            return
-        # Dispatch before dequeuing: a failed dispatch (dead remote
-        # worker, engine error) must leave the bucket pending — not
-        # silently lose the queries.  One transient failure is retried
-        # immediately (a replica-aware dispatch has usually failed over
-        # by its second call); a second failure propagates, with the
-        # bucket still pending and visible via pending().
-        chunk = [(s, t) for _, s, t in queue]
-        try:
-            answers = self._dispatch(chunk, bucket)
-        except QueryError:
-            raise  # bad query / miscounted answers: retrying cannot help
-        except Exception:
-            answers = self._dispatch(chunk, bucket)
-        self._complete(bucket, queue, answers)
-
-    def _complete(
-        self,
-        bucket: Tuple[int, int],
-        queue: List[Tuple[int, int, int]],
-        answers: Sequence[float],
-    ) -> None:
-        """Dequeue a successfully dispatched bucket and file its answers."""
-        del self._pending[bucket]
-        self._pending_count -= len(queue)
-        if self._pending_count == 0:
-            self._oldest_pending = None
-        for (ticket, _, _), d in zip(queue, answers):
-            self._results[ticket] = d
-
-    def flush(self) -> None:
-        """Dispatch every pending bucket now (ascending shard-pair order).
-
-        With a ``dispatch_async`` seam, all pending buckets go in flight
-        *concurrently*; transient failures get one concurrent retry
-        round, and only then does the first error propagate — failed
-        buckets stay pending (:meth:`pending`), successful ones keep
-        their results.  Without the seam (or with one bucket) buckets
-        dispatch in turn with the same retry-once semantics
-        (:meth:`_flush_bucket`).
-        """
-        if self.dispatch_async is None or len(self._pending) <= 1:
-            for bucket in sorted(self._pending):
-                self._flush_bucket(bucket)
-            return
-        first_error: Optional[BaseException] = None
-        round_buckets = sorted(self._pending)
-        for retry_round in range(2):
-            if not round_buckets:
-                break
-            chunks = {
-                bucket: [(s, t) for _, s, t in self._pending[bucket]]
-                for bucket in round_buckets
-            }
-            futures = {
-                bucket: self.dispatch_async(chunks[bucket], bucket)
-                for bucket in round_buckets
-            }
-            failed: List[Tuple[int, int]] = []
-            for bucket in round_buckets:
-                try:
-                    answers = self._record(
-                        chunks[bucket], bucket, futures[bucket].result()
-                    )
-                except QueryError as exc:
-                    # Bad query / miscounted answers: retrying cannot
-                    # help, but the other buckets still settle first.
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                except Exception as exc:  # noqa: BLE001 - retried next round
-                    if retry_round == 0:
-                        failed.append(bucket)
-                    elif first_error is None:
-                        first_error = exc
-                    continue
-                self._complete(bucket, self._pending[bucket], answers)
-            round_buckets = failed
-        if first_error is not None:
-            raise first_error
-
-    def result(self, ticket: int) -> float:
-        """Answer for ``ticket``; flushes pending work if still queued."""
-        if ticket not in self._results:
-            self.flush()
-        try:
-            return self._results.pop(ticket)
-        except KeyError:
-            raise QueryError(f"unknown or already-collected ticket {ticket}")
-
-    def drain(self) -> Dict[int, float]:
-        """Flush everything and hand back (and clear) collected answers.
-
-        Deliberately does *not* touch the batching counters — they are
-        lifetime totals.  A caller that wants per-run numbers (benchmarks
-        running several phases in one process) snapshots :meth:`stats`
-        deltas or calls :meth:`reset` between phases.
-        """
-        self.flush()
-        results = self._results
-        self._results = {}
-        return results
-
-    def reset(self) -> None:
-        """Zero the batching-efficiency counters (pending work is kept).
-
-        ``drain()`` never resets them, so repeated measurement phases in
-        one process would otherwise report cumulative totals; benchmarks
-        call this (or diff :meth:`stats` snapshots) between phases.
-        """
-        self.dispatch_calls = 0
-        self.queries_scheduled = 0
-        self.buckets_coalesced = 0
 
 
 def assign_shards(

@@ -8,9 +8,7 @@ including the queries answered straight from the cache immediately
 after an invalidation wave.  Alongside the end-to-end interleavings,
 the :class:`~repro.caching.cache.DistanceCache` mechanics (TTL expiry,
 LRU + byte-budget eviction, targeted invalidation vs the conservative
-full flush, namespace isolation) are pinned with a fake clock, and the
-hub-sketch tier is checked for its one-sided error contract: bounds
-never under-report, and entries flagged exact really are.
+full flush, key canonicalization) are pinned with a fake clock.
 """
 
 import math
@@ -20,10 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dijkstra import dijkstra_distance
-from repro.caching import APPROX, EXACT, ENTRY_BYTES, DistanceCache
+from repro.caching import ENTRY_BYTES, DistanceCache
 from repro.caching.engine import CachedEngine
-from repro.core.directed import DirectedISLabelIndex
 from repro.core.index import ISLabelIndex
 from repro.core.updates import DynamicDirectedISLabelIndex, DynamicISLabelIndex
 from repro.errors import IndexBuildError, QueryError
@@ -46,9 +42,9 @@ class FakeClock:
         self.now += seconds
 
 
-def _lookup(cache, s, t, namespace=EXACT):
+def _lookup(cache, s, t):
     """The cached value, or ``None`` on a miss (unpacks ``(hit, value)``)."""
-    hit, value = cache.lookup(s, t, namespace)
+    hit, value = cache.lookup(s, t)
     return value if hit else None
 
 
@@ -195,22 +191,12 @@ class TestKeysAndNamespaces:
         assert _lookup(cache, 3, 7) is None
         assert _lookup(cache, 7, 3) == 2.0
 
-    def test_approx_namespace_invisible_to_exact(self):
-        cache = DistanceCache()
-        cache.put(1, 2, 5.0, namespace=APPROX)
-        assert _lookup(cache, 1, 2) is None
-        assert _lookup(cache, 1, 2, namespace=APPROX) == 5.0
-        cache.put(1, 2, 4.0, namespace=EXACT)
-        assert _lookup(cache, 1, 2, namespace=APPROX) == 5.0
-
     def test_invalidate_evicts_both_namespaces(self):
         cache = DistanceCache()
         for v in range(20):
             cache.put(v, v + 100, 1.0)
-        cache.put(1, 101, 2.0, namespace=APPROX)
         cache.invalidate({1})
         assert _lookup(cache, 1, 101) is None
-        assert _lookup(cache, 1, 101, namespace=APPROX) is None
         assert _lookup(cache, 2, 102) == 1.0
 
 
@@ -295,53 +281,3 @@ class TestCachedEngine:
         assert index.engine == "cached:fast"
         with pytest.raises(IndexBuildError, match="not cacheable"):
             ISLabelIndex.build(Graph([(1, 2)]), engine="cached:dict")
-
-
-# ----------------------------------------------------------------------
-# Hub-sketch tier: one-sided error, honest exactness flags
-# ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None)
-@given(connected_graphs(max_vertices=16), st.integers(0, 2**32 - 1))
-def test_sketch_bounds_never_underestimate(g, seed):
-    rng = random.Random(seed)
-    index = ISLabelIndex.build(g)
-    sketch = index.hub_sketch(h=3)
-    vertices = sorted(g.vertices())
-    for _ in range(30):
-        s, t = rng.choice(vertices), rng.choice(vertices)
-        bound, exact = sketch.bound(s, t)
-        truth = dijkstra_distance(g, s, t)
-        assert bound >= truth - 1e-9
-        if exact:
-            assert bound == truth
-
-
-@settings(max_examples=10, deadline=None)
-@given(digraphs(max_vertices=10), st.integers(0, 2**32 - 1))
-def test_directed_sketch_bounds_never_underestimate(g, seed):
-    rng = random.Random(seed)
-    index = DirectedISLabelIndex.build(g)
-    sketch = index.hub_sketch(h=3)
-    truth_index = DirectedISLabelIndex.build(g, engine="dict")
-    vertices = sorted(g.vertices())
-    for _ in range(25):
-        s, t = rng.choice(vertices), rng.choice(vertices)
-        bound, exact = sketch.bound(s, t)
-        truth = truth_index.distance(s, t)
-        assert bound >= truth - 1e-9
-        if exact:
-            assert bound == truth
-
-
-def test_facade_approx_never_served_to_exact_queries():
-    g = Graph([(1, 2, 3), (2, 3, 1), (3, 4, 2), (4, 5, 4), (1, 5, 20)])
-    index = ISLabelIndex.build(g, engine="cached:fast")
-    pairs = [(1, 5), (2, 4), (1, 3)]
-    bounds = index.distances(pairs, approx=True)
-    exact = index.distances(pairs)
-    assert all(b >= e for b, e in zip(bounds, exact))
-    # The approx pass populated the cache's APPROX namespace; the exact
-    # pass must not have seen any of it.
-    stats = index._fast.cache.stats()
-    assert stats["entries"] >= len(pairs)
-    assert index.distances(pairs) == exact

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.baselines.dijkstra import dijkstra_distance
+from repro.baselines.dijkstra import dijkstra, dijkstra_distance
 from repro.core.approx import ApproximateDistanceOracle
 from repro.core.index import ISLabelIndex
 from repro.errors import IndexBuildError, QueryError
 from repro.graph.generators import ensure_connected, erdos_renyi
 from repro.graph.graph import Graph
+from repro.workloads.datasets import load_dataset
 
 from tests.conftest import random_pairs
 
@@ -41,6 +42,27 @@ class TestUpperBoundProperty:
     def test_unknown_vertex_raises(self, oracle):
         with pytest.raises(QueryError):
             oracle.distance_upper_bound(0, 10**9)
+
+
+class TestMultiVertexGk:
+    """On a real ``G_k`` the bound must come from the landmarks, not from
+    label intersections alone: a tier built only on Eq. 1 over truncated
+    labels answers ``inf`` for most connected pairs there."""
+
+    def test_finite_upper_bound_for_every_connected_pair(self):
+        graph = load_dataset("skitter", 0.3)
+        index = ISLabelIndex.build(graph)
+        assert index.gk.num_vertices > 1
+        oracle = ApproximateDistanceOracle(index)
+        vertices = sorted(graph.vertices())
+        checked = 0
+        for source in vertices[:: len(vertices) // 4][:4]:
+            for target, exact in dijkstra(graph, source).items():
+                estimate = oracle.distance_upper_bound(source, target)
+                assert not math.isinf(estimate), (source, target)
+                assert estimate >= exact, (source, target)
+                checked += 1
+        assert checked > 4 * 0.9 * len(vertices)
 
 
 class TestQuality:

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.dijkstra import dijkstra_distance
 from repro.core import kernels, query
 from repro.core.directed import DirectedISLabelIndex
 from repro.core.engines import DIRECTED, UNDIRECTED, resolve_engine
@@ -591,6 +592,26 @@ def test_warm_table_queries_make_no_buffer_calls(engine, tmp_path, monkeypatch):
     assert [index.distance(s, t) for s, t in pairs] == want
     assert counting.from_buffers == 0
     assert _moved(before) == _FLAT
+
+
+@compiled
+def test_row_fills_reuse_the_table_record(monkeypatch):
+    """Once a thread's table record is validated, filling missing rows
+    publishes them through the record's view of the row flags: no
+    ``ffi.from_buffer`` per row."""
+    g = grid_graph(20, 20, seed=6, max_weight=9)
+    index = ISLabelIndex.build(g)
+    assert index.search_mode == "apsp"
+    engine = index._fast
+    pairs = random_pairs(g, 400, seed=13)
+    index.distance(*pairs[0])  # validates the record
+    filled = int(engine._apsp_done.sum())
+    counting = _CountingFFI(kernels._ffi)
+    monkeypatch.setattr(kernels, "_ffi", counting)
+    got = [index.distance(s, t) for s, t in pairs[1:]]
+    assert int(engine._apsp_done.sum()) - filled >= 10
+    assert counting.from_buffers == 0
+    assert got == [dijkstra_distance(g, s, t) for s, t in pairs[1:]]
 
 
 def _answers(dyn, pairs, singles_first):

@@ -24,7 +24,7 @@ from tests.properties.strategies import digraphs, graphs
 POLICIES = (
     None,  # default: coalesced shard-pair buckets
     SchedulerPolicy(max_batch=1),  # per-query dispatch
-    SchedulerPolicy(max_batch=3, coalesce_source=False),  # tiny strict buckets
+    SchedulerPolicy(max_batch=3),  # tiny buckets, chunked and capped merges
 )
 
 
@@ -55,20 +55,6 @@ def test_scheduled_matches_dict_oracle_directed(dg):
     for policy in POLICIES:
         scheduler = ShardScheduler.for_engine(served, policy=policy)
         assert scheduler.schedule(pairs) == expected
-
-
-@settings(max_examples=15, deadline=None)
-@given(graphs())
-def test_streaming_submit_matches_batch_schedule(g):
-    served = ISLabelIndex.build(g, engine="sharded")
-    pairs = _all_pairs(g)
-    expected = served.distances(pairs)
-    scheduler = ShardScheduler.for_engine(
-        served, policy=SchedulerPolicy(max_batch=4)
-    )
-    tickets = [scheduler.submit(s, t) for s, t in pairs]
-    results = scheduler.drain()
-    assert [results[t] for t in tickets] == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

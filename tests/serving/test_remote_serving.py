@@ -413,48 +413,6 @@ class TestReviewRegressions:
         assert wire.recv_frame(idle) is None  # server side was closed
         idle.close()
 
-    def test_streaming_flush_retries_transient_failure_once(self):
-        """One transient dispatch failure is absorbed by the flush itself
-        (retry-once); the caller never sees it."""
-        from repro.serving.scheduler import SchedulerPolicy, ShardScheduler
-
-        attempts = []
-
-        def flaky(chunk, bucket):
-            attempts.append(list(chunk))
-            if len(attempts) == 1:
-                raise StorageError("worker died")
-            return [42.0] * len(chunk)
-
-        sched = ShardScheduler([], flaky, SchedulerPolicy(max_batch=2))
-        t1 = sched.submit(1, 2)
-        t2 = sched.submit(3, 4)  # bucket full -> flush -> fail -> retry ok
-        assert sched.pending_count == 0
-        assert len(attempts) == 2
-        assert sched.result(t1) == 42.0 and sched.result(t2) == 42.0
-
-    def test_streaming_dispatch_double_failure_keeps_queries_pending(self):
-        from repro.serving.scheduler import SchedulerPolicy, ShardScheduler
-
-        attempts = []
-
-        def flaky(chunk, bucket):
-            attempts.append(list(chunk))
-            if len(attempts) <= 2:
-                raise StorageError("worker died")
-            return [42.0] * len(chunk)
-
-        sched = ShardScheduler([], flaky, SchedulerPolicy(max_batch=2))
-        t1 = sched.submit(1, 2)
-        with pytest.raises(StorageError):
-            sched.submit(3, 4)  # full bucket -> flush -> fails twice
-        assert sched.pending_count == 2  # nothing was lost
-        assert sched.pending() == {t1: (1, 2), t1 + 1: (3, 4)}
-        results = sched.drain()  # third attempt (next flush) succeeds
-        assert results == {t1: 42.0, t1 + 1: 42.0}
-        assert sched.pending_count == 0
-        assert sched.pending() == {}
-
 
 class TestServerCacheTier:
     def test_cache_off_by_default(self, server):

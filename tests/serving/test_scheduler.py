@@ -103,9 +103,7 @@ class TestSchedule:
             calls.append((bucket, len(chunk)))
             return [0.0] * len(chunk)
 
-        sched = ShardScheduler(
-            [0, 10], dispatch, SchedulerPolicy(max_batch=3, coalesce_source=True)
-        )
+        sched = ShardScheduler([0, 10], dispatch, SchedulerPolicy(max_batch=3))
         # 4 queries from source shard 0 across two target shards: the cap
         # of 3 forbids full coalescing.
         sched.schedule([(1, 1), (2, 12), (3, 2), (4, 13)])
@@ -113,13 +111,21 @@ class TestSchedule:
         assert all(n <= 3 for _, n in calls)
 
     def test_no_coalescing_keeps_per_pair_buckets(self):
+        """A cap of one leaves no room to merge: every shard pair
+        dispatches as its own bucket."""
         buckets = []
         dispatch = lambda chunk, bucket: (buckets.append(bucket), [0.0] * len(chunk))[1]
-        sched = ShardScheduler(
-            [0, 10], dispatch, SchedulerPolicy(coalesce_source=False)
-        )
+        sched = ShardScheduler([0, 10], dispatch, SchedulerPolicy(max_batch=1))
         sched.schedule([(1, 1), (2, 12), (12, 1), (13, 13)])
         assert sorted(buckets) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_coalescing_merges_same_source_buckets_only(self):
+        buckets = []
+        dispatch = lambda chunk, bucket: (buckets.append(bucket), [0.0] * len(chunk))[1]
+        sched = ShardScheduler([0, 10], dispatch)
+        sched.schedule([(1, 1), (2, 12), (12, 1), (13, 13)])
+        # One dispatch per source shard, keyed by its first bucket.
+        assert buckets == [(0, 0), (1, 0)]
 
     def test_dispatch_length_mismatch_rejected(self):
         sched = ShardScheduler([], lambda p, b: [0.0])
@@ -129,50 +135,6 @@ class TestSchedule:
     def test_bad_policy_rejected(self):
         with pytest.raises(QueryError, match="max_batch"):
             ShardScheduler([], lambda p, b: [], SchedulerPolicy(max_batch=0))
-
-
-class TestStreaming:
-    def test_submit_flush_drain_matches_schedule(self, graph, sharded_index):
-        pairs = _pairs(graph)
-        expected = sharded_index.distances(pairs)
-        sched = ShardScheduler.for_engine(
-            sharded_index, policy=SchedulerPolicy(max_batch=8)
-        )
-        tickets = [sched.submit(s, t) for s, t in pairs]
-        assert sched.pending_count < len(pairs)  # full buckets flushed en route
-        results = sched.drain()
-        assert sched.pending_count == 0
-        assert [results[t] for t in tickets] == expected
-
-    def test_result_flushes_on_demand(self, graph, sharded_index):
-        sched = ShardScheduler.for_engine(sharded_index)
-        vertices = sorted(v for v in graph.vertices() if v != 999)
-        ticket = sched.submit(vertices[0], vertices[1])
-        assert sched.pending_count == 1
-        assert sched.pending() == {ticket: (vertices[0], vertices[1])}
-        got = sched.result(ticket)
-        assert got == sharded_index.distance(vertices[0], vertices[1])
-        with pytest.raises(QueryError, match="ticket"):
-            sched.result(ticket)  # collected once
-
-    def test_max_delay_flushes_pending(self, monkeypatch):
-        dispatched = []
-
-        def dispatch(chunk, bucket):
-            dispatched.extend(chunk)
-            return [0.0] * len(chunk)
-
-        sched = ShardScheduler(
-            [], dispatch, SchedulerPolicy(max_batch=100, max_delay_s=0.01)
-        )
-        sched.submit(1, 2)
-        assert dispatched == []  # under the delay, under the cap
-        import time
-
-        time.sleep(0.02)
-        sched.submit(3, 4)  # the oldest query is now over the delay budget
-        assert dispatched == [(1, 2), (3, 4)]
-        assert sched.pending_count == 0
 
 
 class TestDirected:
@@ -252,7 +214,6 @@ class TestStats:
             "dispatch_calls": 0,
             "queries_scheduled": 0,
             "buckets_coalesced": 0,
-            "pending": 0,
             "avg_batch": 0.0,
         }
 
@@ -266,14 +227,9 @@ class TestStats:
         assert stats["avg_batch"] == pytest.approx(
             len(pairs) / sched.dispatch_calls
         )
-        assert stats["pending"] == 0
 
     def test_coalescing_counter_increments_per_merge(self):
-        sched = ShardScheduler(
-            [0, 10],
-            lambda p, b: [0.0] * len(p),
-            SchedulerPolicy(coalesce_source=True),
-        )
+        sched = ShardScheduler([0, 10], lambda p, b: [0.0] * len(p))
         # Source shard 0 hits both target shards: one merge per pass.
         sched.schedule([(1, 1), (2, 12)])
         assert sched.stats()["buckets_coalesced"] == 1
@@ -281,23 +237,11 @@ class TestStats:
         assert sched.stats()["buckets_coalesced"] == 2
 
     def test_no_coalescing_means_zero_merges(self):
+        """Buckets that would overflow the cap stay apart and count no
+        merge."""
         sched = ShardScheduler(
-            [0, 10],
-            lambda p, b: [0.0] * len(p),
-            SchedulerPolicy(coalesce_source=False),
+            [0, 10], lambda p, b: [0.0] * len(p), SchedulerPolicy(max_batch=1)
         )
         sched.schedule([(1, 1), (2, 12), (12, 1)])
         assert sched.stats()["buckets_coalesced"] == 0
         assert sched.stats()["dispatch_calls"] == 3
-
-    def test_streaming_backlog_visible_in_pending(self, graph, sharded_index):
-        sched = ShardScheduler.for_engine(
-            sharded_index, policy=SchedulerPolicy(max_batch=1000)
-        )
-        pairs = _pairs(graph)[:5]
-        for s, t in pairs:
-            sched.submit(s, t)
-        assert sched.stats()["pending"] == 5
-        sched.flush()
-        assert sched.stats()["pending"] == 0
-        assert sched.stats()["queries_scheduled"] == 5
