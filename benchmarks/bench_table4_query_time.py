@@ -7,6 +7,13 @@ label-intersection + bi-Dijkstra stage.  Paper shape: Time (a) dominates
 everywhere (one I/O per label, ≥10 ms); btc has the smallest Time (b) (its
 G_k search is trivial thanks to low degree); web has the largest Time (a)
 (largest labels).
+
+Time (b) is reported as measured, but its shape is checked on search
+work: whenever ``G_k`` fits the all-pairs table budget (every dataset
+here), Time (b) times a table lookup, not Algorithm 1's search, and the
+wall-clock gaps between datasets sit within timing noise.  So the Time (b)
+claims are asserted on the edges Algorithm 1 relaxes per query with the
+table off, a deterministic counter (``QueryResult.search``).
 """
 
 import itertools
@@ -22,8 +29,22 @@ from repro.bench import (
     run_query_workload,
 )
 from repro.bench.paper import DATASET_ORDER, TABLE4
+from repro.core.fastlabels import FastEngine
 from repro.workloads.datasets import load_dataset
 from repro.workloads.queries import random_query_pairs
+
+
+def relaxed_edges_per_query(index, pairs) -> float:
+    """Mean edges Algorithm 1's search relaxes per query over ``pairs``,
+    run as a CSR bidirectional Dijkstra (the all-pairs table off); a query
+    Equation 1 answers alone relaxes none."""
+    engine = FastEngine(index.gk, index._labels, apsp_budget_bytes=0)
+    total = 0
+    for s, t in pairs:
+        stats = engine.staged(s, t)[2]
+        if stats is not None:
+            total += stats.relaxed_edges
+    return total / len(pairs)
 
 
 @pytest.mark.parametrize("dataset", DATASET_ORDER)
@@ -38,11 +59,13 @@ def test_table4_single_query(benchmark, dataset):
 def test_table4_emit_table(benchmark):
     rows = []
     summaries = {}
+    relaxed = {}
     for name in DATASET_ORDER:
         index = built_index(name, storage="disk")
         pairs = random_query_pairs(load_dataset(name), DEFAULT_QUERY_COUNT, seed=7)
         summary = run_query_workload(index, pairs)
         summaries[name] = summary
+        relaxed[name] = relaxed_edges_per_query(index, pairs)
         p_total, p_a, p_b = TABLE4[name]
         rows.append(
             (
@@ -54,6 +77,7 @@ def test_table4_emit_table(benchmark):
                 fmt_ms(p_a),
                 fmt_ms(summary.avg_time_b_ms),
                 fmt_ms(p_b),
+                f"{relaxed[name]:.0f}",
             )
         )
     benchmark(lambda: summaries)
@@ -62,7 +86,8 @@ def test_table4_emit_table(benchmark):
         "table4",
         render_table(
             "Table 4 — avg query time over 1000 random queries, σ=0.95 "
-            "(measured vs paper; Time (a) = simulated label I/O)",
+            "(measured vs paper; Time (a) = simulated label I/O; "
+            "relaxed/query = edges Algorithm 1 relaxes, table off)",
             (
                 "dataset",
                 "k",
@@ -72,6 +97,7 @@ def test_table4_emit_table(benchmark):
                 "paper",
                 "Time(b) ms",
                 "paper",
+                "relaxed/query",
             ),
             rows,
         ),
@@ -86,13 +112,15 @@ def test_table4_emit_table(benchmark):
         assert s.avg_time_a_ms > s.avg_time_b_ms, (
             f"{name}: disk I/O dominates the query time, as in the paper"
         )
-    cheapest_b = min(s.avg_time_b_ms for s in summaries.values())
-    assert summaries["btc"].avg_time_b_ms <= 1.5 * cheapest_b, (
+    # Time (b)'s shape, on search work: btc's G_k search is among the
+    # cheapest, and web and skitter pay the most.
+    cheapest = min(relaxed.values())
+    assert relaxed["btc"] <= 1.5 * cheapest, (
         "btc's bi-Dijkstra stage is among the cheapest (low average degree)"
     )
-    slowest_two = sorted(summaries, key=lambda n: -summaries[n].avg_time_b_ms)[:2]
-    assert set(slowest_two) == {"web", "skitter"}, (
-        "web and skitter pay the most search CPU, as in the paper"
+    dearest_two = sorted(relaxed, key=lambda n: -relaxed[n])[:2]
+    assert set(dearest_two) == {"web", "skitter"}, (
+        "web and skitter pay the most search work, as in the paper"
     )
     for name in DATASET_ORDER:
         assert 1.5 <= summaries[name].avg_label_ios <= 2.5, (

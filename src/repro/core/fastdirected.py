@@ -45,11 +45,11 @@ from repro.core.fastlabels import (
     LabelTable,
     PackedEngineBase,
     _ThreadPools,
+    _as_lists,
     apsp_ceiling,
-    eq1_merge,
     label_views,
+    pack_entry_lists,
 )
-from repro.core.labels import eq1_distance_argmin
 from repro.graph.csr import CSRDiGraph
 from repro.graph.digraph import DiGraph
 
@@ -88,10 +88,8 @@ class DirectedFastEngine(PackedEngineBase):
         "incremental_max_fraction",
         "_apsp",
         "_apsp_done",
+        "_compiled",
     )
-
-    #: Scalar-merge threshold, as in the undirected engine.
-    EQ1_SMALL = 32
 
     def __init__(
         self,
@@ -123,6 +121,7 @@ class DirectedFastEngine(PackedEngineBase):
         self.in_table: Optional[LabelTable] = None
         self._apsp: Optional[np.ndarray] = None
         self._apsp_done: Optional[np.ndarray] = None
+        self._compiled: Optional[kernels.EngineRecord] = None
 
     # ------------------------------------------------------------------
     # Freezing
@@ -134,8 +133,8 @@ class DirectedFastEngine(PackedEngineBase):
         self.frozen = True
         self._rebuild_csr()
         ids = self.csr.ids_array
-        self.out_table = LabelTable.pack(self.out_lists, {}, ids)
-        self.in_table = LabelTable.pack(self.in_lists, {}, ids)
+        self.out_table = LabelTable.from_flat(pack_entry_lists(self.out_lists, {}, ids))
+        self.in_table = LabelTable.from_flat(pack_entry_lists(self.in_lists, {}, ids))
         n = self.csr.num_vertices
         if 0 < n <= self.apsp_max_gk:
             self._apsp = np.full((n, n), np.inf)
@@ -157,6 +156,7 @@ class DirectedFastEngine(PackedEngineBase):
         self.in_table = None
         self._apsp = None
         self._apsp_done = None
+        self._compiled = None
 
     # Backwards-compatible views of the frozen tables (tests/debugging).
     @property
@@ -183,6 +183,9 @@ class DirectedFastEngine(PackedEngineBase):
         self.out_table.repack(dirty, self.out_lists, gk_ids)
         self.in_table.repack(dirty, self.in_lists, gk_ids)
 
+    def _label_tables(self) -> tuple:
+        return self.out_table, self.in_table
+
     def _backward_row(self, dx: int) -> np.ndarray:
         # One-way table: d'(a -> x) comes from a Dijkstra over the
         # transposed arrays (the backward search's adjacency).
@@ -196,98 +199,33 @@ class DirectedFastEngine(PackedEngineBase):
     # ------------------------------------------------------------------
     def out_label(self, v: int) -> ArrayLabel:
         """Array out-label of ``v`` (implicit ``([v], [0])`` for G_k ids)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.out_table.label(v)
-        if got is not None:
-            return got
-        return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return self._label_of(0, v)
 
     def in_label(self, v: int) -> ArrayLabel:
         """Array in-label of ``v`` (implicit ``([v], [0])`` for G_k ids)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.in_table.label(v)
-        if got is not None:
-            return got
-        return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
-
-    def out_span(self, v: int) -> Tuple:
-        """``out_label(v)`` as a registered-backing span (frozen engine)."""
-        got = self.out_table.span(v)
-        return got if got is not None else (kernels.IMPLICIT, v, 1)
-
-    def in_span(self, v: int) -> Tuple:
-        """``in_label(v)`` as a registered-backing span (frozen engine)."""
-        got = self.in_table.span(v)
-        return got if got is not None else (kernels.IMPLICIT, v, 1)
-
-    def eq1(self, source: int, target: int) -> Tuple[float, int]:
-        """Equation 1 over ``LABEL_out(source)`` ∩ ``LABEL_in(target)``.
-
-        Hybrid dispatch as in the undirected engine: the scalar two-pointer
-        merge for small-by-small, the vectorized merge otherwise.
-        """
-        entries_s = self.out_lists.get(source)
-        entries_t = self.in_lists.get(target)
-        if (
-            entries_s is not None
-            and entries_t is not None
-            and len(entries_s) <= self.EQ1_SMALL
-            and len(entries_t) <= self.EQ1_SMALL
-        ):
-            return eq1_distance_argmin(entries_s, entries_t)
-        return eq1_merge(self.out_label(source), self.in_label(target))
+        return self._label_of(1, v)
 
     def seeds_out(self, v: int) -> Tuple[List[int], List[int]]:
         """Dense-id forward seeds: out-label entries lying in ``G_k``."""
-        if not self.frozen:
-            self.freeze()
-        got = self.out_table.seeds(v)
-        if got is not None:
-            return got
-        return self._fallback_seeds(v)[:2]
+        return _as_lists(self._seeds_of(0, v))
 
     def seeds_in(self, v: int) -> Tuple[List[int], List[int]]:
         """Dense-id backward seeds: in-label entries lying in ``G_k``."""
-        if not self.frozen:
-            self.freeze()
-        got = self.in_table.seeds(v)
-        if got is not None:
-            return got
-        return self._fallback_seeds(v)[:2]
+        return _as_lists(self._seeds_of(1, v))
 
     def seeds_out_np(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """The forward seeds as numpy arrays (for the table reduction)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.out_table.seeds_np(v)
-        if got is not None:
-            return got
-        fallback = self._fallback_seeds(v)
-        return fallback[2], fallback[3]
+        return self._seeds_of(0, v)
 
     def seeds_in_np(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """The backward seeds as numpy arrays (for the table reduction)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.in_table.seeds_np(v)
-        if got is not None:
-            return got
-        fallback = self._fallback_seeds(v)
-        return fallback[2], fallback[3]
+        return self._seeds_of(1, v)
 
     # PackedEngineBase hooks: the forward side queries out-labels, the
-    # reverse side in-labels, and the backward search scans the transposed
-    # CSR arrays.
-    _label_f = out_label
-    _label_r = in_label
-    _span_f = out_span
-    _span_r = in_span
-    _seeds_f = seeds_out
-    _seeds_r = seeds_in
-    _seeds_f_np = seeds_out_np
-    _seeds_r_np = seeds_in_np
+    # reverse side in-labels (Equation 1 is LABEL_out(s) ∩ LABEL_in(t)),
+    # and the backward search scans the transposed CSR arrays.
+    def _entry_lists(self) -> tuple:
+        return self.out_lists, self.in_lists
 
     def _search_arrays(self, native: bool):
         arrays = self.csr if native else self

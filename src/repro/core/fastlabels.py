@@ -8,11 +8,11 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
 
 * all labels live in **one packed pair of parallel ``int64`` arrays**
   (ancestors, distances) sorted by ancestor id within each label — the
-  paper's on-disk layout (§6.2), registered once with the compiled
-  kernels; a label is a span ``(buffer, offset, length)`` of that pair
-  (zero-copy views are cut from it on demand), so freezing the engine is
-  a single batch conversion, and Equation 1 is a merge over two sorted
-  arrays;
+  paper's on-disk layout (§6.2) — laid out in vertex order behind a
+  sorted directory of vertex ids (:class:`FlatLabels`, the snapshot
+  layout), registered once with the compiled kernels, which find a
+  vertex's label by binary search; freezing the engine is a single batch
+  conversion, and Equation 1 is a merge over two sorted arrays;
 * :func:`fast_top_down_labels` runs Algorithm 4's merge as a sorted-array
   k-way min-merge (``np.lexsort`` + first-of-group selection) whenever the
   merged label is large, falling back to the dict merge below the measured
@@ -40,10 +40,10 @@ flat-array equivalents behind ``ISLabelIndex.build(..., engine="fast")``:
 The engine is read-only *between invalidations*: dynamic maintenance
 (§8.3) mutates the entry lists in place and then reports the touched
 vertices through :meth:`PackedEngineBase.invalidate` — the engine either
-re-packs just those labels (splicing fresh arrays over the stale views and
-repairing the ``G_k`` structures in place) or, past a dirtiness threshold
-or after a ``G_k`` change it cannot localize, drops everything and
-re-freezes from the current labels on the next query.  See
+re-packs just those labels (into an override directory searched before
+the frozen one) and repairs the ``G_k`` structures in place, or, past a
+dirtiness threshold or after a ``G_k`` change it cannot localize, drops
+everything and re-freezes from the current labels on the next query.  See
 :class:`repro.core.updates.DynamicISLabelIndex`, which drives this hook
 after every update so dynamic indexes keep serving from the fast engine.
 """
@@ -53,7 +53,6 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +75,7 @@ __all__ = [
     "batch_table_stage",
     "pack_entry_lists",
     "FlatLabels",
+    "concat_flat",
     "LabelTable",
     "fast_top_down_labels",
     "LabelArrayPool",
@@ -336,37 +336,29 @@ def pack_entry_lists(
     entry_lists: Dict[int, List[Tuple[int, int]]],
     prebuilt: Dict[int, ArrayLabel],
     gk_ids: np.ndarray,
-):
-    """Freeze entry-list labels into one packed backing plus dense ``G_k`` seeds.
+) -> "FlatLabels":
+    """Freeze entry-list labels into one flat label table, plus dense ``G_k`` seeds.
 
     The shared engine-freeze primitive behind both the undirected
-    :class:`FastEngine` and the directed engine's two label tables.  Every
-    label is laid end to end in one ``anc``/``dist`` pair: labels already
-    merged vectorially (``prebuilt``) are copied in as they are, and the
-    rest (the small-label majority) come from one batched conversion.  The
-    pair is registered with :func:`repro.core.kernels.register_labels`
-    once, and each label is a span of it.  The same ancestor array then
-    drives the vectorized seed extraction: the dense id of a ``G_k``
-    vertex equals its rank among the sorted ``G_k`` ids (CSR order), so
-    membership and dense translation come from a single ``searchsorted``
-    over all labels at once.
+    :class:`FastEngine` and the directed engine's two label tables, and
+    behind every §8.3 repack.  Every label is laid end to end in one
+    ``anc``/``dist`` pair, in sorted vertex order: labels already merged
+    vectorially (``prebuilt``) are copied in as they are, and the rest
+    (the small-label majority) come from one batched conversion.  The
+    same ancestor array then drives the vectorized seed extraction: the
+    dense id of a ``G_k`` vertex equals its rank among the sorted ``G_k``
+    ids (CSR order), so membership and dense translation come from a
+    single ``searchsorted`` over all labels at once, and a cumulative sum
+    of its hit mask gives each label's seed bounds.
 
-    Returns ``(spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np)``
-    keyed by vertex: each label's span ``(buffer, offset, length)`` of the
-    registered :class:`repro.core.kernels.LabelBuffer` and its Algorithm-1
-    seeds as Python lists and as numpy arrays.
+    Returns the :class:`FlatLabels` directory — the snapshot layout,
+    which :meth:`LabelTable.from_flat` adopts.
     """
-    n = len(gk_ids)
-    order = list(entry_lists)
-    seed_ids: Dict[int, List[int]] = {}
-    seed_dists: Dict[int, List[int]] = {}
-    seed_ids_np: Dict[int, np.ndarray] = {}
-    seed_dists_np: Dict[int, np.ndarray] = {}
-
+    order = sorted(entry_lists)
     counts: List[int] = []
     flat_anc: List[int] = []
     flat_d: List[int] = []
-    # The backing in label order: prebuilt labels, and slices of the
+    # The labels in vertex order: prebuilt labels, and slices of the
     # converted entries for the runs between them.
     parts: list = []
     run = 0
@@ -390,45 +382,30 @@ def pack_entry_lists(
         pieces = [(all_anc[p], all_d[p]) if type(p) is slice else p for p in parts]
         all_anc = np.concatenate([anc for anc, _ in pieces])
         all_d = np.concatenate([d for _, d in pieces])
-    buffer = kernels.register_labels(all_anc, all_d)
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    spans = dict(zip(order, zip(repeat(buffer), indptr[:-1].tolist(), counts)))
 
-    total = len(all_anc)
-    if n == 0 or total == 0:
-        for v in order:
-            seed_ids[v] = []
-            seed_dists[v] = []
-            seed_ids_np[v] = _EMPTY
-            seed_dists_np[v] = _EMPTY
-        return spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np
-
-    pos = np.searchsorted(gk_ids, all_anc)
-    pos[pos == n] = 0  # clamp before the gather; equality below rejects these
-    mask = gk_ids[pos] == all_anc
-    sel_pos = pos[mask]
-    sel_d = all_d[mask]
-    sel_ids = sel_pos.tolist()
-    sel_dists = sel_d.tolist()
-    # Prefix sums of the mask at each label boundary give each label's
-    # slice of the selected entries.
-    csum = np.cumsum(mask)
-    start = 0
-    boundary = 0
-    for i, v in enumerate(order):
-        boundary += counts[i]
-        stop = int(csum[boundary - 1]) if boundary else 0
-        seed_ids[v] = sel_ids[start:stop]
-        seed_dists[v] = sel_dists[start:stop]
-        seed_ids_np[v] = sel_pos[start:stop]
-        seed_dists_np[v] = sel_d[start:stop]
-        start = stop
-    return spans, seed_ids, seed_dists, seed_ids_np, seed_dists_np
+    n = len(gk_ids)
+    if n == 0 or len(all_anc) == 0:
+        seed_ids = seed_dists = _EMPTY
+        seed_indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    else:
+        pos = np.searchsorted(gk_ids, all_anc)
+        pos[pos == n] = 0  # clamp before the gather; equality below rejects these
+        mask = gk_ids[pos] == all_anc
+        seed_ids = pos[mask]
+        seed_dists = all_d[mask]
+        hits = np.zeros(len(all_anc) + 1, dtype=np.int64)
+        np.cumsum(mask, out=hits[1:])
+        seed_indptr = hits[indptr]
+    return FlatLabels(
+        np.array(order, dtype=np.int64), indptr, all_anc, all_d, seed_indptr, seed_ids, seed_dists
+    )
 
 
 class FlatLabels(NamedTuple):
-    """One frozen label table as seven flat arrays — the snapshot layout.
+    """One label table as seven flat arrays — the directory the compiled
+    query entries search, and the snapshot layout.
 
     ``keys`` holds the sorted vertex ids carrying a packed label;
     ``indptr`` (length ``len(keys) + 1``) delimits each vertex's slice of
@@ -448,263 +425,234 @@ class FlatLabels(NamedTuple):
     seed_dists: np.ndarray
 
 
-class LabelTable:
-    """One frozen label table: per-vertex label spans plus dense seeds.
+def _position(keys: np.ndarray, v: int) -> int:
+    """Position of ``v`` in the sorted ``keys``, or -1."""
+    i = int(np.searchsorted(keys, v))
+    return i if i < len(keys) and keys[i] == v else -1
 
-    The buffer-agnostic view struct behind the packed engines.  Every
-    label is a span ``(buffer, offset, length)`` of a backing ``anc``/
-    ``dist`` pair registered once with :mod:`repro.core.kernels` (see
-    :func:`repro.core.kernels.register_labels`); the compiled table stage
-    reads labels by span, and :meth:`label` cuts (and caches) the array
-    views the reference path reads.  Two ways to come alive:
 
-    * :meth:`pack` freezes live entry lists on the heap via
-      :func:`pack_entry_lists` into one backing (the build path);
-    * :meth:`from_flat` adopts a :class:`FlatLabels` whose arrays may be
-      views over a snapshot file — its ``anc``/``dist`` pair is the
-      backing, and spans and seeds are looked up *lazily* on first touch
-      (one ``searchsorted``, no per-entry parsing), so a cold load costs
-      O(1) and the OS page cache faults in only the labels a workload
-      actually reads.
+def _take_rows(flat: FlatLabels, rows: np.ndarray) -> FlatLabels:
+    """The labels at key positions ``rows`` of ``flat``, in that order and
+    laid end to end: one gather per array, no per-label slicing."""
+    rows = np.asarray(rows, dtype=np.int64)
 
-    Either way the query accessors (:meth:`span`, :meth:`label`,
-    :meth:`seeds`, :meth:`seeds_np`) and the §8.3 incremental repair
-    (:meth:`repack`, which packs the dirty labels into a fresh backing and
-    evicts deleted vertices) run the same code path: the per-vertex dicts
-    double as the override/cache layer in front of the optional flat
-    backing.
-    """
+    def gather(bounds, *arrays):
+        lo = bounds[rows]
+        lengths = bounds[rows + 1] - lo
+        out = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=out[1:])
+        source = np.repeat(lo - out[:-1], lengths) + np.arange(out[-1], dtype=np.int64)
+        return (out, *(a[source] for a in arrays))
 
-    __slots__ = (
-        "spans",
-        "labels",
-        "seed_ids",
-        "seed_dists",
-        "seed_ids_np",
-        "seed_dists_np",
-        "flat",
-        "_flat_buffer",
-        "_gone",
+    indptr, anc, dist = gather(flat.indptr, flat.anc, flat.dist)
+    seed_indptr, seed_ids, seed_dists = gather(flat.seed_indptr, flat.seed_ids, flat.seed_dists)
+    return FlatLabels(flat.keys[rows], indptr, anc, dist, seed_indptr, seed_ids, seed_dists)
+
+
+def concat_flat(flats: Sequence[FlatLabels]) -> FlatLabels:
+    """``flats`` laid end to end, keys in the given order."""
+    if len(flats) == 1:
+        return flats[0]
+
+    def bounds(name: str, entries: str) -> np.ndarray:
+        parts, offset = [], 0
+        for flat in flats:
+            parts.append(getattr(flat, name)[:-1] + offset)
+            offset += len(getattr(flat, entries))
+        parts.append(np.array([offset], dtype=np.int64))
+        return np.concatenate(parts)
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(flat, name) for flat in flats])
+
+    return FlatLabels(
+        cat("keys"),
+        bounds("indptr", "anc"),
+        cat("anc"),
+        cat("dist"),
+        bounds("seed_indptr", "seed_ids"),
+        cat("seed_ids"),
+        cat("seed_dists"),
     )
 
-    def __init__(
-        self,
-        spans: Optional[Dict[int, Tuple]] = None,
-        seed_ids: Optional[Dict[int, List[int]]] = None,
-        seed_dists: Optional[Dict[int, List[int]]] = None,
-        seed_ids_np: Optional[Dict[int, np.ndarray]] = None,
-        seed_dists_np: Optional[Dict[int, np.ndarray]] = None,
-        flat: Optional[FlatLabels] = None,
-    ) -> None:
-        self.spans = {} if spans is None else spans
-        self.labels: Dict[int, ArrayLabel] = {}
-        self.seed_ids = {} if seed_ids is None else seed_ids
-        self.seed_dists = {} if seed_dists is None else seed_dists
-        self.seed_ids_np = {} if seed_ids_np is None else seed_ids_np
-        self.seed_dists_np = {} if seed_dists_np is None else seed_dists_np
-        self.flat = flat
-        self._flat_buffer = (
-            None if flat is None else kernels.register_labels(flat.anc, flat.dist)
-        )
-        self._gone: set = set()
 
-    @classmethod
-    def pack(cls, entry_lists, prebuilt, gk_ids: np.ndarray) -> "LabelTable":
-        """Freeze live entry lists into a heap-backed table."""
-        return cls(*pack_entry_lists(entry_lists, prebuilt, gk_ids))
+def _sorted_union(parts: Sequence[Tuple[FlatLabels, np.ndarray]]) -> Tuple[FlatLabels, np.ndarray]:
+    """``(flat, flags)`` pairs with disjoint keys merged into key order."""
+    flat = concat_flat([p[0] for p in parts])
+    flags = np.concatenate([p[1] for p in parts])
+    order = np.argsort(flat.keys, kind="stable")
+    return _take_rows(flat, order), flags[order]
+
+
+def _tombstones(keys: np.ndarray) -> FlatLabels:
+    """Empty labels for ``keys``: an override's deleted vertices."""
+    bounds = np.zeros(len(keys) + 1, dtype=np.int64)
+    return FlatLabels(keys, bounds, _EMPTY, _EMPTY, bounds, _EMPTY, _EMPTY)
+
+
+class LabelTable:
+    """One frozen label table: a registered directory plus its §8.3 override.
+
+    The buffer-agnostic view struct behind the packed engines.  Its base
+    is one :class:`FlatLabels` directory, registered once with
+    :func:`repro.core.kernels.register_directory` — the heap freeze's
+    (:func:`pack_entry_lists`) or a snapshot's (or shard's) flat sections,
+    which may be views over a file, so a cold load costs O(1) and the OS
+    page cache faults in only the labels a workload reads.  The compiled
+    query entries search it by vertex id through :attr:`record`.
+
+    §8.3 repairs (:meth:`repack`) keep one more directory in front of the
+    base, the *override*: the fresh labels of every repacked vertex, plus
+    tombstones (``dead`` flags) for deleted ones.  Each repack merges the
+    previous override with the new labels, so a table never holds more
+    than two directories; the kernels and :meth:`label`/:meth:`seeds_np`
+    (the reference path's accessors) check the override first.
+    """
+
+    __slots__ = ("base", "over", "labels", "record")
+
+    def __init__(self, flat: FlatLabels) -> None:
+        self.base = kernels.register_directory(flat)
+        self.over: Optional[kernels.Directory] = None
+        #: Array views cut for the reference path, cached per vertex.
+        self.labels: Dict[int, ArrayLabel] = {}
+        self._link()
+
+    def _link(self) -> None:
+        """A fresh C record over the current directories (see
+        :class:`repro.core.kernels.LabelRecord`)."""
+        self.record = kernels.LabelRecord([0])
+        self.record.set(0, self.over, self.base)
 
     @classmethod
     def from_flat(cls, flat: FlatLabels) -> "LabelTable":
-        """Adopt flat (possibly file-mapped) arrays; registers the
-        ``anc``/``dist`` backing, and spans and seeds materialize lazily."""
-        return cls(flat=flat)
+        """Adopt flat (possibly file-mapped) arrays as the base directory."""
+        return cls(flat)
+
+    @property
+    def flat(self) -> FlatLabels:
+        """The base directory's arrays."""
+        return self.base.flat
 
     # ------------------------------------------------------------------
-    # Query accessors
+    # Query accessors (the reference path; the kernels search by id)
     # ------------------------------------------------------------------
-    def _flat_pos(self, v: int) -> int:
-        if self.flat is None or v in self._gone:
-            return -1
-        keys = self.flat.keys
-        i = int(np.searchsorted(keys, v))
-        if i < len(keys) and int(keys[i]) == v:
-            return i
-        return -1
-
-    def span(self, v: int) -> Optional[Tuple]:
-        """``(buffer, offset, length)`` of ``v``'s label, or ``None``."""
-        got = self.spans.get(v)
-        if got is None:
-            i = self._flat_pos(v)
+    def _find(self, v: int) -> Optional[Tuple[FlatLabels, int]]:
+        """``(directory, position)`` of ``v``'s live label, or ``None``."""
+        over = self.over
+        if over is not None:
+            i = _position(over.flat.keys, v)
             if i >= 0:
-                lo, hi = int(self.flat.indptr[i]), int(self.flat.indptr[i + 1])
-                got = self.spans[v] = (self._flat_buffer, lo, hi - lo)
-        return got
+                return None if over.dead[i] else (over.flat, i)
+        flat = self.base.flat
+        i = _position(flat.keys, v)
+        return (flat, i) if i >= 0 else None
 
     def label(self, v: int) -> Optional[ArrayLabel]:
-        """Array label of ``v`` (views of its backing), or ``None``."""
+        """Array label of ``v`` (views of its directory), or ``None``."""
         got = self.labels.get(v)
         if got is None:
-            span = self.span(v)
-            if span is None:
+            found = self._find(v)
+            if found is None:
                 return None
-            got = self.labels[v] = _cut(span)
+            flat, i = found
+            lo, hi = int(flat.indptr[i]), int(flat.indptr[i + 1])
+            got = self.labels[v] = (flat.anc[lo:hi], flat.dist[lo:hi])
         return got
 
     def seeds_np(self, v: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Dense-id seeds of ``v`` as numpy arrays, or ``None``."""
-        ids = self.seed_ids_np.get(v)
-        if ids is not None:
-            return ids, self.seed_dists_np[v]
-        i = self._flat_pos(v)
-        if i < 0:
+        found = self._find(v)
+        if found is None:
             return None
-        flat = self.flat
+        flat, i = found
         lo, hi = int(flat.seed_indptr[i]), int(flat.seed_indptr[i + 1])
-        ids = self.seed_ids_np[v] = flat.seed_ids[lo:hi]
-        dists = self.seed_dists_np[v] = flat.seed_dists[lo:hi]
-        return ids, dists
-
-    def seeds(self, v: int) -> Optional[Tuple[List[int], List[int]]]:
-        """The seeds as Python lists (scalar search loop); lazily cached."""
-        ids = self.seed_ids.get(v)
-        if ids is not None:
-            return ids, self.seed_dists[v]
-        pair = self.seeds_np(v)
-        if pair is None:
-            return None
-        ids = pair[0].tolist()
-        dists = pair[1].tolist()
-        self.seed_ids[v] = ids
-        self.seed_dists[v] = dists
-        return ids, dists
+        return flat.seed_ids[lo:hi], flat.seed_dists[lo:hi]
 
     # ------------------------------------------------------------------
     # §8.3 incremental repair
     # ------------------------------------------------------------------
     def repack(self, dirty, lists, gk_ids: np.ndarray) -> None:
-        """Pack the labels of ``dirty`` into a fresh backing over this table.
+        """Pack the labels of ``dirty`` into a fresh override directory.
 
         ``lists`` is the live entry-list dict (shared with the index
         facade, so it already reflects the mutations).  Dirty vertices
-        present in ``lists`` get spans of one new registered backing pair
-        (clean vertices keep theirs, and their cached views); dirty
-        vertices that disappeared (§8.3 deletions) are evicted, including
-        from any flat backing.
+        present in ``lists`` get fresh labels; dirty vertices that
+        disappeared (§8.3 deletions) get tombstones over their base
+        labels.  The previous override's other labels carry over, and
+        clean vertices keep their base labels (and cached views).
         """
-        present = {v: lists[v] for v in dirty if v in lists}
-        packed = pack_entry_lists(present, {}, gk_ids)
-        for target, fresh in zip(self._per_vertex(), packed):
-            target.update(fresh)
+        dirty_keys = np.fromiter(dirty, np.int64, len(dirty))
+        fresh = pack_entry_lists({v: lists[v] for v in dirty if v in lists}, {}, gk_ids)
+        gone = np.sort(np.array([v for v in dirty if v not in lists], dtype=np.int64))
+        gone = gone[np.isin(gone, self.base.flat.keys)]
+        parts = [
+            (fresh, np.zeros(len(fresh.keys), dtype=bool)),
+            (_tombstones(gone), np.ones(len(gone), dtype=bool)),
+        ]
+        old = self.over
+        if old is not None:
+            keep = np.flatnonzero(~np.isin(old.flat.keys, dirty_keys))
+            parts.append((_take_rows(old.flat, keep), old.dead[keep]))
+            for v in old.flat.keys.tolist():
+                self.labels.pop(v, None)
         for v in dirty:
             self.labels.pop(v, None)
-        if self.flat is not None:
-            self._gone.difference_update(present)
-        for v in dirty:
-            if v not in present:
-                for target in self._per_vertex():
-                    target.pop(v, None)
-                if self.flat is not None:
-                    self._gone.add(v)
-
-    def _per_vertex(self) -> tuple:
-        """The per-vertex dicts, in :func:`pack_entry_lists` result order."""
-        return (
-            self.spans,
-            self.seed_ids,
-            self.seed_dists,
-            self.seed_ids_np,
-            self.seed_dists_np,
-        )
+        flat, dead = _sorted_union(parts)
+        self.over = kernels.register_directory(flat, dead) if len(flat.keys) else None
+        self._link()
 
     # ------------------------------------------------------------------
     # Introspection / flattening
     # ------------------------------------------------------------------
+    def _hidden(self) -> np.ndarray:
+        """Base key positions the override replaces or deletes."""
+        keys = self.base.flat.keys
+        return np.flatnonzero(np.isin(keys, self.over.flat.keys))
+
     def num_labels(self) -> int:
-        if self.flat is not None:
-            return len(self.flat.keys)
-        return len(self.spans)
+        """Number of live labels."""
+        n = len(self.base.flat.keys)
+        if self.over is not None:
+            n += int(np.count_nonzero(~self.over.dead)) - len(self._hidden())
+        return n
 
     def nbytes(self) -> int:
-        if self.flat is not None:
-            return int(self.flat.anc.nbytes + self.flat.dist.nbytes)
-        # Two int64 arrays per label.
-        return 16 * sum(length for _, _, length in self.spans.values())
+        """16 bytes (ancestor + distance) per entry of the live labels."""
+        base = self.base.flat
+        entries = len(base.anc)
+        if self.over is not None:
+            hidden = self._hidden()
+            entries += len(self.over.flat.anc) - int(
+                (base.indptr[hidden + 1] - base.indptr[hidden]).sum()
+            )
+        return 16 * entries
 
     def vertex_ids(self) -> List[int]:
-        """Sorted vertex ids carrying a label (overrides + flat backing)."""
-        if self.flat is None:
-            return sorted(self.spans)
-        ids = set(self.flat.keys.tolist())
-        ids.difference_update(self._gone)
-        ids.update(self.spans)
-        return sorted(ids)
+        """Sorted vertex ids carrying a live label."""
+        keys = self.base.flat.keys
+        over = self.over
+        if over is None:
+            return keys.tolist()
+        kept = np.delete(keys, self._hidden())
+        return np.union1d(kept, over.flat.keys[~over.dead]).tolist()
 
     def to_flat(self) -> FlatLabels:
-        """Flatten the current state into :class:`FlatLabels`.
-
-        Used when writing snapshots, not in a hot path.
-        """
-        return flatten_table(self)
-
-
-def _cut(span) -> ArrayLabel:
-    """The ``(ancestors, dists)`` views a label span covers."""
-    buffer, lo, length = span
-    return buffer.anc[lo : lo + length], buffer.dist[lo : lo + length]
+        """The live labels as one :class:`FlatLabels`, in vertex order —
+        the base itself until a repack (used when writing snapshots)."""
+        if self.over is None:
+            return self.base.flat
+        over = self.over
+        kept = np.delete(np.arange(len(self.base.flat.keys)), self._hidden())
+        alive = np.flatnonzero(~over.dead)
+        flat = concat_flat([_take_rows(self.base.flat, kept), _take_rows(over.flat, alive)])
+        return _take_rows(flat, np.argsort(flat.keys, kind="stable"))
 
 
 def label_views(table) -> Dict[int, ArrayLabel]:
     """Every label of any label table as array views (cut and cached):
     the engines' ``labels`` debugging aid, which touches the whole table."""
     return {v: table.label(v) for v in table.vertex_ids()}
-
-
-def flatten_table(table) -> FlatLabels:
-    """:class:`FlatLabels` of any label table (``vertex_ids``, ``span``
-    and ``seeds_np`` accessors), in sorted vertex order."""
-    keys = table.vertex_ids()
-    n = len(keys)
-    spans = [table.span(v) for v in keys]
-    seeds = [table.seeds_np(v) for v in keys]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter((span[2] for span in spans), np.int64, n), out=indptr[1:])
-    seed_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter((len(ids) for ids, _ in seeds), np.int64, n), out=seed_indptr[1:])
-
-    def _cat(parts: List[np.ndarray]) -> np.ndarray:
-        return np.concatenate(parts) if parts else _EMPTY.copy()
-
-    return FlatLabels(
-        np.array(keys, dtype=np.int64),
-        indptr,
-        *_gather(spans, indptr),
-        seed_indptr,
-        _cat([ids for ids, _ in seeds]),
-        _cat([dists for _, dists in seeds]),
-    )
-
-
-def _gather(spans, indptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(anc, dist)`` of the labels ``spans`` cover, laid end to end at
-    ``indptr``: one fancy-index gather per backing, no per-label arrays."""
-    lengths = np.diff(indptr)
-    backings: Dict = {}
-    which = np.repeat(
-        np.fromiter((backings.setdefault(s[0], len(backings)) for s in spans), np.int64, len(spans)),
-        lengths,
-    )
-    starts = np.fromiter((s[1] for s in spans), np.int64, len(spans))
-    source = np.repeat(starts - indptr[:-1], lengths) + np.arange(int(indptr[-1]))
-    anc = np.empty(len(source), dtype=np.int64)
-    dist = np.empty(len(source), dtype=np.int64)
-    by_backing = np.argsort(which, kind="stable")
-    bounds = np.searchsorted(which[by_backing], np.arange(len(backings) + 1))
-    for buffer, k in backings.items():
-        at = by_backing[bounds[k] : bounds[k + 1]]
-        anc[at] = buffer.anc[source[at]]
-        dist[at] = buffer.dist[source[at]]
-    return anc, dist
 
 
 def fast_top_down_labels(
@@ -784,19 +732,17 @@ class LabelArrayPool:
 
     Plain Python lists, not ndarrays: the search loop is scalar, and
     CPython indexes a list several times faster than a numpy array.
-    The compiled kernel (:mod:`repro.core.kernels`) keeps its own native
-    buffers in :attr:`kernel` instead, created on its first search.
+    The compiled kernels (:mod:`repro.core.kernels`) keep their own native
+    buffers, one set per thread.
 
     A pool serves one search at a time — acquiring invalidates the
-    previously handed-out buffers, and the compiled kernel runs without
-    the GIL — so the packed engines keep one pool per thread
-    (:attr:`PackedEngineBase.pool`); concurrent readers of one engine
-    never share one.
+    previously handed-out buffers — so the packed engines keep one pool
+    per thread (:attr:`PackedEngineBase.pool`); concurrent readers of one
+    engine never share one.
     """
 
     __slots__ = (
         "epoch",
-        "kernel",
         "dist_f",
         "dist_r",
         "seen_f",
@@ -809,7 +755,6 @@ class LabelArrayPool:
     def __init__(self) -> None:
         self.epoch = 0
         self._capacity = 0
-        self.kernel = None
         self.dist_f: List[int] = []
         self.dist_r: List[int] = []
         self.seen_f: List[int] = []
@@ -835,6 +780,11 @@ class LabelArrayPool:
         return self.epoch
 
 
+def _as_lists(seeds: Tuple[np.ndarray, np.ndarray]) -> Tuple[List[int], List[int]]:
+    """Seed arrays as the Python lists the scalar reference search reads."""
+    return seeds[0].tolist(), seeds[1].tolist()
+
+
 class _ThreadPools(threading.local):
     """An engine's search buffers, one :class:`LabelArrayPool` per thread."""
 
@@ -848,19 +798,21 @@ class PackedEngineBase:
     Everything the undirected :class:`FastEngine` and the directed
     :class:`repro.core.fastdirected.DirectedFastEngine` answer queries
     with is one code path parameterized by orientation: the subclass
-    supplies ``eq1``, the per-side label accessors (``_label_f`` /
-    ``_label_r``: Equation-1 inputs for a forward endpoint and a reverse
-    endpoint) and their span twins (``_span_f`` / ``_span_r``: the same
-    labels as registered-backing spans, for the table kernels), the
-    per-side seed accessors (``_seeds_f[_np]`` /
-    ``_seeds_r[_np]``) and :meth:`_search_arrays` (forward CSR triple plus
-    the reverse triple — ``None`` s for an undirected graph, where one
-    adjacency serves both directions).  This base then implements the
-    :class:`repro.core.engines.QueryEngine` ``distance``/``distances``
-    hot paths — the single query as one staged body, :meth:`staged`,
-    which also reports the index facade's Table 4/5 fields — the lazily
-    row-filled all-pairs ``G_k`` table and its batched Theorem-4
-    reduction, identically for both orientations.
+    supplies the label tables and entry lists a source and a target read
+    (:meth:`_label_tables`, :meth:`_entry_lists`: one table twice for an
+    undirected graph, out-labels then in-labels for a directed one) and
+    :meth:`_search_arrays` (forward CSR triple plus the reverse triple —
+    ``None`` s for an undirected graph, where one adjacency serves both
+    directions); the per-side accessors (:meth:`_label_of`,
+    :meth:`_seeds_of`) and :meth:`eq1` are shared.  This base then
+    implements the :class:`repro.core.engines.QueryEngine`
+    ``distance``/``distances`` hot paths — with the compiled module, one
+    call into :mod:`repro.core.kernels` per query or batch, over vertex
+    ids and the engine's record (:meth:`_compile`); otherwise the Python
+    staging, which :meth:`staged` also runs to report the index facade's
+    Table 4/5 fields — plus the lazily row-filled all-pairs ``G_k`` table
+    and its batched Theorem-4 reduction, identically for both
+    orientations.
 
     It also implements the protocol's :meth:`invalidate`, including the
     §8.3 incremental path: given the set of vertices whose labels changed,
@@ -890,17 +842,53 @@ class PackedEngineBase:
         """The calling thread's search buffers (created on first use)."""
         return self._pools.pool
 
-    def _fallback_seeds(self, v: int):
-        """Seeds of a vertex missing from the label tables (bare G_k id)."""
+    #: At or below this many entries (on both sides) the scalar two-pointer
+    #: merge over the canonical entry lists beats the numpy intersection's
+    #: call overhead; :meth:`eq1` switches on it.
+    EQ1_SMALL = 32
+
+    def _label_of(self, side: int, v: int) -> ArrayLabel:
+        """Array label of ``v`` in the source (0) or target (1) side's
+        table; the implicit ``([v], [0])`` when the table holds none."""
+        if not self.frozen:
+            self.freeze()
+        got = self._label_tables()[side].label(v)
+        if got is not None:
+            return got
+        return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+    def _seeds_of(self, side: int, v: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense-id Algorithm-1 seeds of :meth:`_label_of` (pre-extracted;
+        a bare ``G_k`` id seeds at itself)."""
+        if not self.frozen:
+            self.freeze()
+        got = self._label_tables()[side].seeds_np(v)
+        if got is not None:
+            return got
         if self.csr.has_vertex(v):
-            dense = self.csr.dense_of[v]
-            return (
-                [dense],
-                [0],
-                np.array([dense], dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-            )
-        return [], [], _EMPTY, _EMPTY
+            return np.array([self.csr.dense_of[v]], dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return _EMPTY, _EMPTY
+
+    def eq1(self, source: int, target: int) -> Tuple[float, int]:
+        """Equation 1 between ``source``'s and ``target``'s labels:
+        ``(distance, argmin ancestor)``.
+
+        Hybrid dispatch: small-by-small runs the scalar merge over the
+        canonical entry lists (e.g. the singleton labels of two ``G_k``
+        endpoints — the bulk of Type-1 traffic); everything else takes the
+        vectorized merge intersection.  Both return identical answers.
+        """
+        lists_s, lists_t = self._entry_lists()
+        entries_s = lists_s.get(source)
+        entries_t = lists_t.get(target)
+        if (
+            entries_s is not None
+            and entries_t is not None
+            and len(entries_s) <= self.EQ1_SMALL
+            and len(entries_t) <= self.EQ1_SMALL
+        ):
+            return eq1_distance_argmin(entries_s, entries_t)
+        return eq1_merge(self._label_of(0, source), self._label_of(1, target))
 
     def _search_arrays(self, native: bool):
         """``((indptr, indices, weights), (indptr_r, indices_r, weights_r))``
@@ -971,7 +959,7 @@ class PackedEngineBase:
     def _fill_apsp_row(self, a: int) -> None:
         """Fill table row ``a``: Dijkstra from ``a`` over the forward CSR."""
         self._apsp[a] = self._dijkstra_row(a, self.indptr, self.indices, self.weights)
-        kernels.mark_row_done(self._apsp_done, a, self.pool)
+        kernels.mark_row_done(self._apsp_done, a, self._compiled)
 
     # ------------------------------------------------------------------
     # Invalidation (full and §8.3-incremental)
@@ -998,6 +986,7 @@ class PackedEngineBase:
         back to the full drop, so answers always match a from-scratch
         freeze bit for bit.
         """
+        self._compiled = None
         if dirty is not None and self._invalidate_incremental(set(dirty)):
             return
         self._drop_frozen()
@@ -1131,6 +1120,14 @@ class PackedEngineBase:
         """Re-pack the dirty labels of every label table."""
         raise NotImplementedError
 
+    def _label_tables(self) -> tuple:
+        """The label tables a source and a target read (frozen engine)."""
+        raise NotImplementedError
+
+    def _entry_lists(self) -> tuple:
+        """The live entry-list dicts a source and a target read."""
+        raise NotImplementedError
+
     def _drop_frozen(self) -> None:
         """Full invalidation: drop every frozen structure."""
         raise NotImplementedError
@@ -1138,6 +1135,41 @@ class PackedEngineBase:
     # ------------------------------------------------------------------
     # QueryEngine protocol: validated-query compute
     # ------------------------------------------------------------------
+    def _compile(self) -> "kernels.EngineRecord":
+        """The compiled entries' record of this engine state (frozen first).
+
+        Links the label tables' registered directories and validates the
+        ``G_k`` ids with the table and row flags (table mode) or the CSR
+        arrays; :meth:`invalidate` drops it, and the next compiled query
+        builds it again.
+        """
+        if not self.frozen:
+            self.freeze()
+        fwd, rev = self._label_tables()
+        ids = self.csr.ids_array
+        if self._apsp is not None:
+            record = kernels.EngineRecord(
+                fwd.record, rev.record, ids, self._apsp, self._apsp_done, None
+            )
+        else:
+            forward, reverse = self._search_arrays(True)
+            if reverse[0] is None:
+                reverse = forward
+            record = kernels.EngineRecord(fwd.record, rev.record, ids, None, None, forward + reverse)
+        self._compiled = record
+        return record
+
+    def _resolve(self, status: int, first: int, second: int) -> "kernels.EngineRecord":
+        """Act on a compiled call's retry status — 3: fill table row
+        ``first``; 4: open shard ``second`` of the source (0) or target (1)
+        side's table — and return the record to call again with: the
+        current one, which a concurrent invalidation may have replaced."""
+        if status == 3:
+            self._fill_apsp_row(first)
+        else:
+            self._label_tables()[first].open_shard(second)
+        return self._compiled or self._compile()
+
     def staged(
         self, source: int, target: int
     ) -> Tuple[float, bool, Optional[SearchStats]]:
@@ -1146,45 +1178,36 @@ class PackedEngineBase:
         Equation 1, the seeds, then the table reduction or the CSR
         bidirectional Dijkstra.  ``used_search`` is False when a side has
         no ``G_k`` seed (Equation 1 alone is exact); ``stats`` are the CSR
-        search's counters (``None`` on the table stage).  In table mode
-        with the compiled module, :func:`repro.core.kernels.table_query`
-        runs all three stages in one call over the two labels' spans
-        (``_span_f``/``_span_r``); otherwise :meth:`eq1`, the
-        pre-extracted seeds and :meth:`search_distance` (or the CSR search)
-        run here.  This is the one staging of a single query:
-        :meth:`distance` returns its distance and
-        :meth:`repro.core.index.ISLabelIndex.query` its Table 4/5 fields.
-        Vertex coverage and I/O accounting belong to the index facade.
+        search's counters (``None`` on the table stage).  With the compiled
+        module, :func:`repro.core.kernels.staged` runs all of it in one call
+        from the two vertex ids; otherwise :meth:`eq1`, the pre-extracted
+        seeds and :meth:`search_distance` (or the CSR search) run here.
+        :meth:`repro.core.index.ISLabelIndex.query` reads its Table 4/5
+        fields from this body.  Vertex coverage and I/O accounting belong
+        to the index facade.
         """
+        if kernels.BACKEND == "c":
+            distance, used_search, counts = kernels.staged(
+                self._compiled or self._compile(), source, target, self
+            )
+            return distance, used_search, None if counts is None else SearchStats(*counts)
         if source == target:
             return 0, False, None
         if not self.frozen:
             self.freeze()
         table = self._apsp is not None
-        if table and kernels.BACKEND == "c":
-            distance, used_search = kernels.table_query(
-                self._span_f(source),
-                self._span_r(target),
-                self.csr.ids_array,
-                self._apsp,
-                self._apsp_done,
-                self._fill_apsp_row,
-                self._pools.pool,
-            )
-            return distance, used_search, None
         mu0, _ = self.eq1(source, target)
-        native = table or kernels.BACKEND == "c"
-        seeds_f = (self._seeds_f_np if native else self._seeds_f)(source)
-        seeds_r = (self._seeds_r_np if native else self._seeds_r)(target)
+        seeds_f = self._seeds_of(0, source)
+        seeds_r = self._seeds_of(1, target)
         if not len(seeds_f[0]) or not len(seeds_r[0]):
             return mu0, False, None
         if table:
             return self.search_distance(seeds_f, seeds_r, mu0), True, None
-        forward, reverse = self._search_arrays(native)
+        forward, reverse = self._search_arrays(False)
         distance, _, stats = csr_label_bidijkstra(
             *forward,
-            seeds_f,
-            seeds_r,
+            _as_lists(seeds_f),
+            _as_lists(seeds_r),
             self.pool,
             self.csr.num_vertices,
             initial_mu=mu0,
@@ -1195,22 +1218,26 @@ class PackedEngineBase:
         return distance, True, stats
 
     def distance(self, source: int, target: int) -> float:
-        """Exact distance between two covered vertices: :meth:`staged`'s."""
-        return self.staged(source, target)[0]
+        """Exact distance between two covered vertices: one compiled call
+        (:func:`repro.core.kernels.query`), else :meth:`staged`'s."""
+        if kernels.BACKEND != "c":
+            return self.staged(source, target)[0]
+        return kernels.query(self._compiled or self._compile(), source, target, self)
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        """Batch :meth:`distance`, one stage at a time over the batch.
+        """Batch :meth:`distance`.
 
-        In table mode with the compiled module,
-        :func:`repro.core.kernels.table_batch` answers the whole batch in
-        one call over the pairs' label spans.  Otherwise stage 1 runs
-        :func:`batch_eq1` once over the stacked label arrays (one
-        ``searchsorted``, one scatter-min); in
-        table mode stage 2 vectorizes across the batch too
-        (:func:`batch_table_stage`), and in CSR mode it reuses the
-        thread's pooled search buffers across every remaining pair.
+        With the compiled module, :func:`repro.core.kernels.query_batch`
+        answers the whole batch in one call over its two vertex arrays.
+        Otherwise stage 1 runs :func:`batch_eq1` once over the stacked label
+        arrays (one ``searchsorted``, one scatter-min); in table mode stage
+        2 vectorizes across the batch too (:func:`batch_table_stage`), and
+        in CSR mode it reuses the thread's pooled search buffers across
+        every remaining pair.
         """
         pairs = list(pairs)
+        if kernels.BACKEND == "c":
+            return kernels.query_batch(self._compiled or self._compile(), pairs, self)
         if not self.frozen:
             self.freeze()
         out: List[float] = [0] * len(pairs)
@@ -1223,25 +1250,12 @@ class PackedEngineBase:
             distance = self.staged(*pairs[i])[0]
             out[i] = int(distance) if distance != math.inf else math.inf
             return out
-        if self._apsp is not None and kernels.BACKEND == "c":
-            answers = kernels.table_batch(
-                [self._span_f(pairs[i][0]) for i in live],
-                [self._span_r(pairs[i][1]) for i in live],
-                self.csr.ids_array,
-                self._apsp,
-                self._apsp_done,
-                self._fill_apsp_row,
-                self.pool,
-            )
-            for i, answer in zip(live, answers):
-                out[i] = answer
-            return out
-        labels_f = [self._label_f(pairs[i][0]) for i in live]
-        labels_r = [self._label_r(pairs[i][1]) for i in live]
+        labels_f = [self._label_of(0, pairs[i][0]) for i in live]
+        labels_r = [self._label_of(1, pairs[i][1]) for i in live]
         mu0s = batch_eq1(labels_f, labels_r)
         if self._apsp is not None:
-            seeds_f = [self._seeds_f_np(pairs[i][0]) for i in live]
-            seeds_r = [self._seeds_r_np(pairs[i][1]) for i in live]
+            seeds_f = [self._seeds_of(0, pairs[i][0]) for i in live]
+            seeds_r = [self._seeds_of(1, pairs[i][1]) for i in live]
             # Seed-locality sort: order the batch by each query's first
             # forward-seed row so lazy APSP row fills (and the flat gather)
             # touch table rows in ascending, clustered order instead of
@@ -1261,17 +1275,14 @@ class PackedEngineBase:
             for pos, j in enumerate(order):
                 out[live[j]] = answers[pos]
             return out
-        native = kernels.BACKEND == "c"
-        seeds_of_f = self._seeds_f_np if native else self._seeds_f
-        seeds_of_r = self._seeds_r_np if native else self._seeds_r
-        forward, reverse = self._search_arrays(native)
+        forward, reverse = self._search_arrays(False)
         n_gk = self.csr.num_vertices
         pool = self.pool
         for j, i in enumerate(live):
             s, t = pairs[i]
             mu0 = float(mu0s[j])
-            sf = seeds_of_f(s)
-            sr = seeds_of_r(t)
+            sf = _as_lists(self._seeds_of(0, s))
+            sr = _as_lists(self._seeds_of(1, t))
             if not len(sf[0]) or not len(sr[0]):
                 out[i] = int(mu0) if mu0 != math.inf else mu0
                 continue
@@ -1324,12 +1335,8 @@ class FastEngine(PackedEngineBase):
         "_prebuilt",
         "_apsp",
         "_apsp_done",
+        "_compiled",
     )
-
-    #: At or below this many entries (on both sides) the scalar two-pointer
-    #: merge over the canonical entry lists beats the numpy intersection's
-    #: call overhead; :meth:`eq1` switches on it.
-    EQ1_SMALL = 32
 
     def __init__(
         self,
@@ -1359,6 +1366,7 @@ class FastEngine(PackedEngineBase):
         self.table: Optional[LabelTable] = None
         self._apsp: Optional[np.ndarray] = None
         self._apsp_done: Optional[np.ndarray] = None
+        self._compiled: Optional[kernels.EngineRecord] = None
 
     # ------------------------------------------------------------------
     # Freezing: CSR view, packed labels, seed extraction (first use)
@@ -1369,8 +1377,8 @@ class FastEngine(PackedEngineBase):
             return self
         self.frozen = True
         self._rebuild_csr()
-        self.table = LabelTable.pack(
-            self.entry_lists, self._prebuilt, self.csr.ids_array
+        self.table = LabelTable.from_flat(
+            pack_entry_lists(self.entry_lists, self._prebuilt, self.csr.ids_array)
         )
         self._prebuilt = {}
         n = self.csr.num_vertices
@@ -1391,6 +1399,7 @@ class FastEngine(PackedEngineBase):
         self._prebuilt = {}
         self._apsp = None
         self._apsp_done = None
+        self._compiled = None
 
     # Backwards-compatible view of the frozen table (tests and debugging).
     @property
@@ -1414,6 +1423,9 @@ class FastEngine(PackedEngineBase):
     def _repack(self, dirty, gk_ids) -> None:
         self.table.repack(dirty, self.entry_lists, gk_ids)
 
+    def _label_tables(self) -> tuple:
+        return self.table, self.table
+
     def _backward_row(self, dx: int) -> np.ndarray:
         # Undirected G_k: distances are symmetric, reuse the forward row.
         return self._apsp[dx]
@@ -1423,68 +1435,20 @@ class FastEngine(PackedEngineBase):
     # ------------------------------------------------------------------
     def label(self, v: int) -> ArrayLabel:
         """Array label of ``v`` (implicit ``([v], [0])`` for bare G_k ids)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.table.label(v)
-        if got is not None:
-            return got
-        return np.array([v], dtype=np.int64), np.zeros(1, dtype=np.int64)
-
-    def label_span(self, v: int) -> Tuple:
-        """``label(v)`` as a span ``(buffer, offset, length)`` of a
-        registered backing (:data:`repro.core.kernels.IMPLICIT` for bare
-        ``G_k`` ids); requires a frozen engine."""
-        got = self.table.span(v)
-        return got if got is not None else (kernels.IMPLICIT, v, 1)
-
-    def eq1(self, source: int, target: int) -> Tuple[float, int]:
-        """Equation 1 between two labels: ``(distance, argmin ancestor)``.
-
-        Hybrid dispatch: small-by-small runs the scalar merge over the
-        canonical entry lists (e.g. the singleton labels of two ``G_k``
-        endpoints — the bulk of Type-1 traffic); everything else takes the
-        vectorized merge intersection.  Both return identical answers.
-        """
-        entries_s = self.entry_lists.get(source)
-        entries_t = self.entry_lists.get(target)
-        if (
-            entries_s is not None
-            and entries_t is not None
-            and len(entries_s) <= self.EQ1_SMALL
-            and len(entries_t) <= self.EQ1_SMALL
-        ):
-            return eq1_distance_argmin(entries_s, entries_t)
-        return eq1_merge(self.label(source), self.label(target))
+        return self._label_of(0, v)
 
     def seeds(self, v: int) -> Tuple[List[int], List[int]]:
         """Dense-id Algorithm-1 seeds of ``label(v)`` (pre-extracted)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.table.seeds(v)
-        if got is not None:
-            return got
-        return self._fallback_seeds(v)[:2]
+        return _as_lists(self._seeds_of(0, v))
 
     def seeds_np(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """The seeds as numpy arrays (for the APSP reduction)."""
-        if not self.frozen:
-            self.freeze()
-        got = self.table.seeds_np(v)
-        if got is not None:
-            return got
-        fallback = self._fallback_seeds(v)
-        return fallback[2], fallback[3]
+        return self._seeds_of(0, v)
 
     # PackedEngineBase hooks: on an undirected graph both query sides read
-    # the same label table and one adjacency serves both searches.
-    _label_f = label
-    _label_r = label
-    _span_f = label_span
-    _span_r = label_span
-    _seeds_f = seeds
-    _seeds_r = seeds
-    _seeds_f_np = seeds_np
-    _seeds_r_np = seeds_np
+    # the same labels and one adjacency serves both searches.
+    def _entry_lists(self) -> tuple:
+        return self.entry_lists, self.entry_lists
 
     def _search_arrays(self, native: bool):
         arrays = self.csr if native else self

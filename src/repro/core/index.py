@@ -39,10 +39,12 @@ registry under the ``"directed"`` kind):
 The facade does the bookkeeping and the engine does the compute.
 :class:`_IndexFacade`, shared with the directed index, checks vertex
 coverage, charges disk-mode label I/O and routes each call to the
-attached engine or the dict reference.  A packed engine stages
-Algorithm 1 once (:meth:`repro.core.fastlabels.PackedEngineBase.staged`):
-``distance`` returns that body's answer and :meth:`ISLabelIndex.query`
-reads its Table 4/5 fields from it.  Both engines return bit-identical
+attached engine or the dict reference.  A packed engine answers
+``distance`` and ``distances`` in one compiled call each, from the vertex
+ids (:mod:`repro.core.kernels`); :meth:`ISLabelIndex.query` reads its
+Table 4/5 fields from the engine's staged body
+(:meth:`repro.core.fastlabels.PackedEngineBase.staged`), the same
+computation with its stage report.  Both engines return bit-identical
 answers and identical I/O accounting; path reconstruction
 (``keep_parents``) always runs on the reference search.
 """

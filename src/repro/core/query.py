@@ -226,25 +226,15 @@ def csr_label_bidijkstra(
 
     Each backend reads its own input form fastest — int64 ndarrays for the
     kernel, Python lists for the reference — but accepts either.  ``pool``
-    must not be in use by another thread: the kernel releases the GIL.
+    holds the reference's buffers; the kernel searches in the calling
+    thread's own native scratch.
     """
-    args = (
-        indptr,
-        indices,
-        weights,
-        seeds_forward,
-        seeds_reverse,
-        pool,
-        num_vertices,
-        initial_mu,
-        indptr_r,
-        indices_r,
-        weights_r,
-    )
+    arrays = (indptr, indices, weights, seeds_forward, seeds_reverse)
+    rest = (num_vertices, initial_mu, indptr_r, indices_r, weights_r)
     if kernels.BACKEND == "c":
-        distance, meet, counts = kernels.bidijkstra(*args)
+        distance, meet, counts = kernels.bidijkstra(*arrays, *rest)
         return distance, meet, SearchStats(*counts)
-    return csr_label_bidijkstra_reference(*args)
+    return csr_label_bidijkstra_reference(*arrays, pool, *rest)
 
 
 def csr_label_bidijkstra_reference(

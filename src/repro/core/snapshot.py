@@ -49,6 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.engines import (
     CAP_LOCAL,
     CAP_SHARDED,
@@ -58,7 +59,7 @@ from repro.core.engines import (
     register_engine,
 )
 from repro.core.fastdirected import DirectedFastEngine
-from repro.core.fastlabels import FastEngine, FlatLabels, LabelTable, flatten_table
+from repro.core.fastlabels import FastEngine, FlatLabels, LabelTable, concat_flat
 from repro.errors import StorageError
 from repro.graph.csr import CSRDiGraph, CSRGraph
 from repro.graph.digraph import DiGraph
@@ -593,14 +594,25 @@ class ShardedLabelTable:
     Lookups bisect the shard start keys and delegate to the owning shard's
     table; shards open (mmap) lazily, so a worker only maps the files its
     queries actually route to.  Presents the same accessor surface as
-    :class:`LabelTable`, making it a drop-in for the packed engines.
+    :class:`LabelTable`, making it a drop-in for the packed engines.  Its
+    :attr:`record` lists every shard's directories for the compiled query
+    entries; an unopened shard's slot is empty until :meth:`open_shard`.
     """
 
-    __slots__ = ("shards", "_starts")
+    __slots__ = ("shards", "_starts", "record")
 
     def __init__(self, shards: Sequence[_ShardHandle]) -> None:
         self.shards = list(shards)
         self._starts = [s.start for s in self.shards]
+        self._link()
+
+    def _link(self) -> None:
+        """A fresh C record over every open shard's directories (see
+        :class:`repro.core.kernels.LabelRecord`)."""
+        self.record = kernels.LabelRecord(self._starts)
+        for i, handle in enumerate(self.shards):
+            if handle.opened:
+                self.record.set(i, handle.table.over, handle.table.base)
 
     @property
     def starts(self) -> List[int]:
@@ -609,25 +621,28 @@ class ShardedLabelTable:
         rightmost one ``<= v``)."""
         return list(self._starts)
 
+    def open_shard(self, i: int) -> LabelTable:
+        """Shard ``i``'s table, opened (and linked into :attr:`record`) on
+        first touch."""
+        handle = self.shards[i]
+        if not handle.opened:
+            table = handle.table
+            self.record.set(i, table.over, table.base)
+        return handle.table
+
     def _route(self, v: int) -> LabelTable:
         # A bisect over the (tiny) starts list per access: deliberately
         # not cached per vertex — the per-vertex label caches below this
         # already grow with the touched set, and doubling that footprint
         # to skip a bisect would fight the low-RSS serving goal.
         i = bisect_right(self._starts, v) - 1
-        return self.shards[max(i, 0)].table
+        return self.open_shard(max(i, 0))
 
     def label(self, v: int):
         return self._route(v).label(v)
 
-    def seeds(self, v: int):
-        return self._route(v).seeds(v)
-
     def seeds_np(self, v: int):
         return self._route(v).seeds_np(v)
-
-    def span(self, v: int):
-        return self._route(v).span(v)
 
     def repack(self, dirty, lists, gk_ids) -> None:
         groups: Dict[int, set] = {}
@@ -635,22 +650,27 @@ class ShardedLabelTable:
             i = max(bisect_right(self._starts, v) - 1, 0)
             groups.setdefault(i, set()).add(v)
         for i, vs in groups.items():
-            self.shards[i].table.repack(vs, lists, gk_ids)
+            self.open_shard(i).repack(vs, lists, gk_ids)
+        self._link()
+
+    def _tables(self) -> List[LabelTable]:
+        return [self.open_shard(i) for i in range(len(self.shards))]
 
     def num_labels(self) -> int:
-        return sum(s.table.num_labels() for s in self.shards)
+        return sum(t.num_labels() for t in self._tables())
 
     def nbytes(self) -> int:
-        return sum(s.table.nbytes() for s in self.shards)
+        return sum(t.nbytes() for t in self._tables())
 
     def vertex_ids(self) -> List[int]:
         out: List[int] = []
-        for s in self.shards:
-            out.extend(s.table.vertex_ids())
+        for t in self._tables():
+            out.extend(t.vertex_ids())
         return sorted(out)
 
     def to_flat(self) -> FlatLabels:
-        return flatten_table(self)
+        # Shards are contiguous, ascending vertex-id ranges.
+        return concat_flat([t.to_flat() for t in self._tables()])
 
 
 class Snapshot:

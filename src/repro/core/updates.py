@@ -71,6 +71,16 @@ def _build_descendant_map(labels: LabelTable) -> Dict[int, Set[int]]:
     return table
 
 
+def _forget_descendant(
+    labels: LabelTable, descendants: Dict[int, Set[int]], v: int
+) -> None:
+    """Drop the deleted ``v`` from its label's ancestors' descendant sets,
+    so a later delete of one of them sees only live labels."""
+    for a, _ in labels.get(v, ()):
+        if a != v:
+            descendants.get(a, set()).discard(v)
+
+
 def _entries_mentioning(
     labels: LabelTable, descendants: Dict[int, Set[int]], v: int
 ) -> Iterable[Tuple[int, int]]:
@@ -320,6 +330,7 @@ class DynamicISLabelIndex(_DynamicIndexBase):
                 self._flush(w)
             self.approximate = True
         descendants.pop(vertex, None)
+        _forget_descendant(index._labels, descendants, vertex)
         index._labels.pop(vertex, None)
         hierarchy.level_of.pop(vertex, None)
         for peeled in hierarchy.levels:
@@ -468,6 +479,8 @@ class DynamicDirectedISLabelIndex(_DynamicIndexBase):
             self.approximate = True
         out_desc.pop(vertex, None)
         in_desc.pop(vertex, None)
+        _forget_descendant(index._out_labels, out_desc, vertex)
+        _forget_descendant(index._in_labels, in_desc, vertex)
         index._out_labels.pop(vertex, None)
         index._in_labels.pop(vertex, None)
         hierarchy.level_of.pop(vertex, None)

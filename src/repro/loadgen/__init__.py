@@ -1,13 +1,15 @@
-"""Load generation: replayable traffic scenarios for every perf claim.
+"""Load generation: replayable traffic scenarios.
 
 ``repro.loadgen`` turns "a list of query pairs" into *traffic*: seeded
 Zipf/uniform pair skew, open-loop Poisson/burst arrival schedules,
 read/write mixes replaying §8.3 update waves, and multi-tenant fleets —
 declared as a :class:`~repro.loadgen.scenario.Scenario`, executed by the
 drivers, summarized by one shared percentile implementation.  The CLI
-(``repro loadgen``) and the benchmark suite (``benchmarks/suite/``) are
-both thin layers over this package, so every published number comes
-from the same code path.
+(``repro loadgen``) is a thin layer over this package.  The benchmark
+suite (``benchmarks/suite/``), where the repository's performance claims
+come from, runs its own driver: it borrows the seeded pair generators and
+``derive_seed``, the shared ``percentile``, ``Scenario`` to build its
+graphs and the fleet's serve arguments, not the drivers here.
 """
 
 from repro.loadgen.drivers import run_closed_loop, run_open_loop, run_scenario

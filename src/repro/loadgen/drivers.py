@@ -1,6 +1,7 @@
 """Closed- and open-loop runners that execute a :class:`Scenario`.
 
-One driver pair serves every perf claim in the repo:
+One driver pair serves ``repro loadgen`` (the benchmark suite in
+``benchmarks/suite/`` has its own):
 
 * :func:`run_closed_loop` — issue operations back-to-back, one
   outstanding at a time; per-operation latency is service time.

@@ -282,7 +282,8 @@ class TestIncrementalInvalidate:
         engine.invalidate({victim})
         assert engine.frozen
         assert victim not in engine.labels
-        assert victim not in engine.table.seed_ids
+        assert engine.table.seeds_np(victim) is None
+        assert victim not in engine.table.vertex_ids()
 
     def test_gk_vertex_removal_falls_back_to_full(self, index):
         engine = index._fast

@@ -6,12 +6,13 @@ two must agree on the distance, the meeting vertex and every
 :class:`SearchStats` counter, since both pop the same ``(d, v)`` keys in
 the same order.
 
-A table-mode engine answers a whole query (Equation 1, the seeds and the
-``G_k`` table reduction) in one compiled call, and a batch in another;
-with ``kernels.BACKEND == "python"`` it runs the reference bodies
-(``eq1``, ``search_distance``, ``batch_eq1``, ``batch_table_stage``).
-Both must give the same answers, the same ``used_search`` flags and the
-same ``query()`` fields.
+A packed engine answers a whole query (both label lookups by vertex id,
+Equation 1, then the ``G_k`` table reduction or the CSR search) in one
+compiled call, and a batch in another; with ``kernels.BACKEND ==
+"python"`` it runs the reference bodies (``eq1``, ``search_distance`` or
+the CSR reference, ``batch_eq1``, ``batch_table_stage``).  Both must give
+the same answers, the same ``used_search`` flags and the same ``query()``
+fields.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from repro.core.fastlabels import (
     _TABLE_FLAT_CAP,
     APSP_BUDGET_ENV,
     FastEngine,
+    FlatLabels,
     LabelArrayPool,
 )
 from repro.core.index import ISLabelIndex
 from repro.core.query import csr_label_bidijkstra, csr_label_bidijkstra_reference
 from repro.core.serialization import load_directed_index, load_index, save_snapshot
 from repro.core.updates import DynamicDirectedISLabelIndex, DynamicISLabelIndex
+from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_graph
 from repro.graph.graph import Graph
@@ -288,22 +291,19 @@ class TestTableStage:
         ids = np.array([2, 5, 9], dtype=np.int64)
         table = np.zeros((3, 3))
         done = np.ones(3, dtype=bool)
-        anc, dist = np.array([2, 5], dtype=np.int64), np.array([0, 1], dtype=np.int64)
-        buffer = kernels.register_labels(anc, dist)
-        span = (buffer, 0, 2)
+        # Vertex 2: {(2, 0), (5, 1)}; vertex 7: {(2, 4)}; 9 reads as {(9, 0)}.
+        flat = _flat([2, 7], [0, 2, 3], [2, 5, 2], [0, 1, 4], [0, 2, 3], [0, 1, 0], [0, 1, 4])
+        labels = kernels.LabelRecord([0])
+        labels.set(0, None, kernels.register_directory(flat))
 
-        def fill_row(a):
-            raise AssertionError(f"row {a} is already filled")
+        class Owner:
+            def _fill_apsp_row(self, a):
+                raise AssertionError(f"row {a} is already filled")
 
-        def both(span_s, span_t, table, done):
-            for call in (
-                lambda: kernels.table_query(span_s, span_t, ids, table, done, fill_row, LabelArrayPool()),
-                lambda: kernels.table_batch([span_s], [span_t], ids, table, done, fill_row, LabelArrayPool()),
-            ):
-                with pytest.raises(ValueError):
-                    call()
-
-        assert kernels.table_query(span, span, ids, table, done, fill_row, LabelArrayPool()) == (0, True)
+        record = kernels.EngineRecord(labels, labels, ids, table, done, None)
+        assert kernels.staged(record, 2, 7, Owner()) == (4, True, None)
+        assert kernels.staged(record, 9, 7, Owner()) == (4, True, None)
+        assert kernels.query_batch(record, [(2, 7), (9, 7), (7, 7)], Owner()) == [4, 4, 0]
         for bad_table in (
             table.astype(np.float32),
             np.asfortranarray(np.arange(9.0).reshape(3, 3)),
@@ -311,23 +311,54 @@ class TestTableStage:
             np.zeros(9),
             table.tolist(),
         ):
-            both(span, span, bad_table, done)
-        for bad_done in (done[:2], done.astype(np.uint8), np.ones(4, dtype=bool), done.tolist()):
-            both(span, span, table, bad_done)
-        # Spans are checked against their backing in C.
-        for bad_span in ((buffer, 1, 2), (buffer, -1, 1), (buffer, 0, -1), (kernels.IMPLICIT, 5, 2)):
-            both(bad_span, span, table, done)
-            both(span, bad_span, table, done)
-        # Backings are checked when they are registered.
-        for bad_pair in (
-            (anc, dist[:1]),
-            (anc.astype(np.int32), dist),
-            (np.arange(4, dtype=np.int64)[::2], dist),
-            (anc.tolist(), dist),
-            (anc.reshape(1, 2), dist.reshape(1, 2)),
+            with pytest.raises(ValueError):
+                kernels.EngineRecord(labels, labels, ids, bad_table, done, None)
+        read_only = done.copy()
+        read_only.flags.writeable = False
+        for bad_done in (done[:2], done.astype(np.uint8), np.ones(4, dtype=bool), done.tolist(), read_only):
+            with pytest.raises(ValueError):
+                kernels.EngineRecord(labels, labels, ids, table, bad_done, None)
+        for bad_ids in (ids[::-1].copy(), ids.astype(np.int32), ids.tolist()):
+            with pytest.raises(ValueError):
+                kernels.EngineRecord(labels, labels, bad_ids, table, done, None)
+
+    def test_corrupt_directories_raise_when_registered(self):
+        """Directories come from snapshot files and C reads them unchecked,
+        so registration rejects whatever would send it out of bounds."""
+        good = ([2, 7], [0, 2, 3], [2, 5, 2], [0, 1, 4], [0, 2, 3], [0, 1, 0], [0, 1, 4])
+        kernels.register_directory(_flat(*good))
+        kernels.register_directory(_flat(*good), np.zeros(2, dtype=bool))
+        corrupt = {
+            "unsorted keys": ([7, 2],) + good[1:],
+            "repeated keys": ([2, 2],) + good[1:],
+            "falling indptr": (good[0], [0, 3, 2]) + good[2:],
+            "indptr past the entries": (good[0], [0, 2, 4]) + good[2:],
+            "indptr short of the entries": (good[0], [0, 1, 2]) + good[2:],
+            "indptr not from 0": (good[0], [1, 2, 3]) + good[2:],
+            "indptr of the wrong length": (good[0], [0, 3]) + good[2:],
+            "falling seed bounds": good[:4] + ([0, 3, 2],) + good[5:],
+            "seed bounds past the seeds": good[:4] + ([0, 2, 5],) + good[5:],
+            "anc and dist of two lengths": good[:3] + ([0, 1],) + good[4:],
+        }
+        for why, arrays in corrupt.items():
+            with pytest.raises(ValueError):
+                kernels.register_directory(_flat(*arrays))
+                pytest.fail(why)
+        for bad in (
+            _flat(*good)._replace(keys=np.array([2, 7], dtype=np.int32)),
+            _flat(*good)._replace(anc=np.arange(6, dtype=np.int64)[::2]),
+            _flat(*good)._replace(dist=[0, 1, 4]),
         ):
             with pytest.raises(ValueError):
-                kernels.register_labels(*bad_pair)
+                kernels.register_directory(bad)
+        for bad_dead in (np.zeros(3, dtype=bool), np.zeros(2, dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                kernels.register_directory(_flat(*good), bad_dead)
+
+
+def _flat(*arrays):
+    """A :class:`FlatLabels` of int64 copies of ``arrays``."""
+    return FlatLabels(*(np.array(a, dtype=np.int64) for a in arrays))
 
 
 def _seedy_case(directed, engine):
@@ -352,7 +383,7 @@ def test_seed_pairs_beyond_the_flat_cap(directed, engine):
     pairs = [(100, 101), (101, 100), (100, 3), (7, 101), (4, 9), (100, 100)]
     served = _compare_backends(_seedy_case(directed, engine), pairs)
     assert served.has_apsp
-    assert len(served._seeds_f_np(100)[0]) * len(served._seeds_r_np(101)[0]) > _TABLE_FLAT_CAP
+    assert len(served._seeds_of(0, 100)[0]) * len(served._seeds_of(1, 101)[0]) > _TABLE_FLAT_CAP
 
 
 class TestLoader:
@@ -414,10 +445,10 @@ class TestLoader:
         assert calls
 
         def unreachable(*args):
-            raise AssertionError("the table kernels ran without the compiled module")
+            raise AssertionError("the query kernels ran without the compiled module")
 
-        monkeypatch.setattr(kernels, "table_query", unreachable)
-        monkeypatch.setattr(kernels, "table_batch", unreachable)
+        for name in ("query", "query_batch", "staged"):
+            monkeypatch.setattr(kernels, name, unreachable)
         assert tabled._fast.distances(pairs) == want_table
         assert table_fields() == want_table_query
 
@@ -518,10 +549,10 @@ _FLAT = {"validations": 0, "registrations": 0}
 
 
 @compiled
-def test_csr_pointers_validated_once_per_thread():
+def test_csr_pointers_validated_once_per_engine():
     """A CSR-mode engine over a ``G_k`` of more than 256 vertices checks its
-    CSR arrays on each thread's first search only: the vertex count is a
-    fresh int per call, so the cache compares it by value."""
+    CSR arrays once, when its record is built, however many threads
+    search it."""
     g = grid_graph(40, 40, seed=4, max_weight=9)
     index = ISLabelIndex.build(g, k=2)
     engine = FastEngine(
@@ -544,7 +575,29 @@ def test_csr_pointers_validated_once_per_thread():
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
-    assert _moved(before) == {"validations": 3, "registrations": 0}
+    assert _moved(before) == {"validations": 1, "registrations": 0}
+
+
+@compiled
+def test_warm_csr_queries_make_no_buffer_calls(monkeypatch):
+    """A warm CSR-mode engine seeds its searches from the registered seed
+    arrays and answers into the thread's scratch: 200 singles and a batch
+    make no ``ffi.from_buffer`` call, validation or registration."""
+    monkeypatch.setenv(APSP_BUDGET_ENV, "0")
+    g = grid_graph(40, 40, seed=4, max_weight=9)
+    index = ISLabelIndex.build(g, k=2)
+    assert index.search_mode == "csr"
+    pairs = random_pairs(g, 200, seed=7)
+    want = [dijkstra_distance(g, s, t) for s, t in pairs]
+    assert index.distance(*pairs[0]) == want[0]  # builds the record
+    counting = _CountingFFI(kernels._ffi)
+    monkeypatch.setattr(kernels, "_ffi", counting)
+    before = kernels.counters()
+    assert [index.distance(s, t) for s, t in pairs] == want
+    assert index.distances(pairs) == want
+    assert sum(index.query(s, t).search is not None for s, t in pairs) > 100
+    assert counting.from_buffers == 0
+    assert _moved(before) == _FLAT
 
 
 @compiled
@@ -627,26 +680,37 @@ def _answers(dyn, pairs, singles_first):
     return {name: run() for name, run in runs[:: 1 if singles_first else -1]}
 
 
-def _wave(dyns, rng, directed, next_id):
-    """One §8.3 update (insert or delete), applied to every index alike."""
+def _wave(dyns, rng, directed, next_id, deleted):
+    """One §8.3 update, applied to every index alike: an insert of a fresh
+    id or a re-insert of a deleted one, or a delete of a ``G_k`` vertex or
+    of a peeled one.  Returns the next fresh id; ``deleted`` tracks the
+    deleted ids not inserted again."""
     vertices = sorted(dyns[0].graph.vertices())
 
     def pick(lo, hi, avoid=()):
         chosen = rng.sample(vertices, rng.randint(lo, min(hi, len(vertices))))
         return {v: rng.randint(1, 4) for v in chosen if v not in avoid}
 
-    if rng.random() < 0.6 or len(vertices) <= 2:
+    if rng.random() < 0.55 or len(vertices) <= 2:
+        if deleted and rng.random() < 0.4:
+            vertex = deleted.pop(rng.randrange(len(deleted)))
+        else:
+            vertex, next_id = next_id, next_id + 1
         if directed:
             outs = pick(1, 2)
             args = (outs, pick(0, 2, avoid=outs))
         else:
             args = (pick(1, 3),)
         for dyn in dyns:
-            dyn.insert_vertex(next_id, *map(dict, args))
-        return next_id + 1
-    victim = rng.choice(vertices)
+            dyn.insert_vertex(vertex, *map(dict, args))
+        return next_id
+    in_gk = dyns[0].index.hierarchy.in_gk
+    sides = [[v for v in vertices if in_gk(v)], [v for v in vertices if not in_gk(v)]]
+    side = sides[rng.random() < 0.5]
+    victim = rng.choice(side or sides[0] or sides[1])
     for dyn in dyns:
         dyn.delete_vertex(victim)
+    deleted.append(victim)
     return next_id
 
 
@@ -659,10 +723,14 @@ def _wave(dyns, rng, directed, next_id):
     st.data(),
 )
 def test_label_backings_follow_update_waves(directed, engine, seed, data):
-    """§8.3 waves — repacks that register fresh backings, grown tables,
-    full re-freezes — interleaved with singles and batches: the compiled
-    answers (and their types) equal the reference path's and the dict
-    twin's, on both orientations."""
+    """§8.3 waves — inserts of fresh and of deleted ids, deletes of ``G_k``
+    and of peeled vertices, so repacks that register fresh override
+    directories with tombstones, grown tables and full re-freezes —
+    interleaved with singles and batches: the compiled answers (and their
+    types) equal the reference path's and the dict twin's, on both
+    orientations; a warm repeat moves no kernel counter, and an uncovered
+    vertex raises :class:`QueryError` from a single and from any position
+    of a batch."""
     from tests.properties.strategies import connected_graphs, digraphs
 
     graph = data.draw(digraphs(max_vertices=10) if directed else connected_graphs(max_vertices=12))
@@ -671,13 +739,14 @@ def test_label_backings_follow_update_waves(directed, engine, seed, data):
     twin = cls(graph, engine="dict")
     rng = random.Random(seed)
     next_id = 100_000
+    deleted: list = []
     try:
         for _ in range(4):
             fraction = 0.0 if rng.random() < 0.3 else FastEngine.INCREMENTAL_MAX_FRACTION
             for dyn in (served, reference):
                 dyn.index._fast.incremental_max_fraction = fraction
             for _ in range(rng.randint(1, 3)):
-                next_id = _wave((served, reference, twin), rng, directed, next_id)
+                next_id = _wave((served, reference, twin), rng, directed, next_id, deleted)
             vertices = sorted(served.graph.vertices())
             pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(20)]
             singles_first = rng.random() < 0.5
@@ -686,6 +755,22 @@ def test_label_backings_follow_update_waves(directed, engine, seed, data):
                 want = _answers(reference, pairs, singles_first)
             assert got == want
             assert got["singles"] == [(d, type(d)) for d in map(twin.distance, *zip(*pairs))]
+            before = kernels.counters()
+            assert _answers(served, pairs, singles_first) == got
+            assert _moved(before) == _FLAT
+            absent = rng.choice(deleted) if deleted else next_id + 7
+            some = rng.choice(vertices)
+            for bad in ((absent, some), (some, absent)):
+                with pytest.raises(QueryError):
+                    served.distance(*bad)
+                at = rng.randint(0, len(pairs))
+                with pytest.raises(QueryError):
+                    served.distances(pairs[:at] + [bad] + pairs[at:])
+                # Below the facade, a deleted vertex reads as its implicit
+                # label on both paths: its tombstone hides the stale one.
+                got_engine = served.index._fast.staged(*bad)
+                with _backend("python"):
+                    assert reference.index._fast.staged(*bad) == got_engine
     finally:
         for dyn in (served, reference):
             if hasattr(dyn.index._fast, "close"):

@@ -136,6 +136,24 @@ class TestDeletion:
             assert dyn.distance(s, t) >= dijkstra_distance(dyn.graph, s, t)
 
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_deleted_label_stops_marking_its_ancestors(self, directed):
+        """A deleted vertex no longer counts as a label mentioning its
+        ancestors: deleting one of them later, a G_k vertex no live label
+        mentions, leaves the index exact (as a reloaded copy, whose
+        descendant map starts fresh, would say)."""
+        graph = DiGraph() if directed else Graph()
+        for v in range(3):
+            graph.add_vertex(v)
+        cls = DynamicDirectedISLabelIndex if directed else DynamicISLabelIndex
+        dyn = cls(graph)
+        assert dyn.index.hierarchy.in_gk(2)
+        dyn.insert_vertex(100, *(({2: 1}, {2: 1}) if directed else ({2: 1},)))
+        dyn.delete_vertex(100)
+        dyn.delete_vertex(2)
+        assert not dyn.approximate
+
+
 class TestRebuild:
     def test_rebuild_restores_exactness(self, dyn):
         rng = random.Random(9)
